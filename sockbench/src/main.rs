@@ -18,7 +18,6 @@ mod tap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,11 +41,18 @@ const USAGE: &str = "usage: sockbench --workload NAME --seed N --seconds S --tra
 /// 180 s a benchmark run is allowed; past this the run is abandoned.
 const WATCHDOG: Duration = Duration::from_secs(170);
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 7;
+/// Document sets per run. Each set is generated from its own seed drawn
+/// from `--seed`, served by its own daemons and timed over its own stretch
+/// of the query sequence, so no one draw of the documents decides a figure.
+const SETS: usize = 15;
 
-/// Warm-up runs of every template per client, outside the timed window.
-const WARMUP: usize = 3;
+/// Length of a steal window, in seconds at the workload's nominal rate.
+/// The client reads the machine's steal time at every window boundary;
+/// timings come from the windows with the least steal (see `run`).
+const WINDOW_S: f64 = 0.5;
+
+/// Warm-up runs of every template per set, outside the timed window.
+const WARMUP: usize = 2;
 
 /// A traced client replays a query only while its replays so far took
 /// less than 1/REPLAY_PACE of its time, which spreads the replays evenly
@@ -102,7 +108,6 @@ struct Workload {
     daemons: &'static [(&'static str, &'static str, Doc)],
     doc_bytes: usize,
     strategy: Strategy,
-    clients: usize,
     templates: &'static [&'static str],
     /// Queries per second at the parent commit on a 2-core x86-64 host.
     /// `--seconds` times this fixes the length of the run's query
@@ -121,7 +126,6 @@ const WORKLOADS: &[Workload] = &[
         daemons: TWO_PEERS,
         doc_bytes: 64 << 10,
         strategy: Strategy::ByProjection,
-        clients: 1,
         templates: &[
             "person-count",
             "young-person-names",
@@ -137,18 +141,16 @@ const WORKLOADS: &[Workload] = &[
         daemons: TWO_PEERS,
         doc_bytes: 1 << 20,
         strategy: Strategy::ByProjection,
-        clients: 1,
         templates: &["semijoin-authors", "seller-join", "two-peer-filter-scatter"],
-        nominal_qps: 30.0,
+        nominal_qps: 24.0,
     },
     Workload {
-        name: "ship-value-2c",
+        name: "ship-value",
         daemons: &[("peer1", "xmk.xml", Doc::People)],
         doc_bytes: 256 << 10,
         strategy: Strategy::ByValue,
-        clients: 2,
         templates: &["person-count", "young-person-names", "const-heavy-filter"],
-        nominal_qps: 200.0,
+        nominal_qps: 90.0,
     },
 ];
 
@@ -359,18 +361,25 @@ impl Client {
         }
     }
 
-    /// Pulls queries off the shared sequence until it is used up. In a
-    /// traced phase every other block of the sequence is traced, so traced
-    /// and untraced queries interleave under the same machine load, and a
-    /// replay follows its query at once for the same reason.
+    /// Runs the sequence to its end, one query after the other, and
+    /// closes a steal window every `run.window` queries. In a traced phase
+    /// every other block of the sequence is traced, so traced and untraced
+    /// queries interleave under the same machine load, and a replay follows
+    /// its query at once for the same reason.
     fn drive(&mut self, run: &PhaseCtx<'_>) -> Phase {
         let mut log = Phase::default();
         let started = Instant::now();
         let mut replay_ns = 0;
-        loop {
-            let id = run.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&tmpl) = run.seq.get(id) else { break };
-            let traced = run.traced && (id / run.w.templates.len()) % 2 == 1;
+        let mut opened = None;
+        for (i, &tmpl) in run.seq.iter().enumerate() {
+            if i % run.window == 0 {
+                let mark = Mark::now(log.samples.len());
+                if let Some(open) = opened.replace(mark) {
+                    log.windows.push(Window::between(open, mark));
+                }
+            }
+            let traced = run.traced && (i / run.w.templates.len()) % 2 == 1;
+            let id = run.base + i;
             self.tap.set_tracing(traced);
             let start = Instant::now();
             let outcome = self.query(run.w, tmpl, &run.expected[tmpl]);
@@ -423,8 +432,52 @@ impl Client {
                 replay_ns += ns_since(t, Instant::now());
             }
         }
+        if let Some(open) = opened {
+            log.windows
+                .push(Window::between(open, Mark::now(log.samples.len())));
+        }
         self.tap.set_tracing(false);
         log
+    }
+}
+
+/// A window boundary: the samples recorded so far, the time, `cpu_ticks`.
+#[derive(Clone, Copy)]
+struct Mark {
+    sample: usize,
+    at: Instant,
+    ticks: (u64, u64),
+}
+
+impl Mark {
+    fn now(sample: usize) -> Mark {
+        Mark {
+            sample,
+            at: Instant::now(),
+            ticks: cpu_ticks(),
+        }
+    }
+}
+
+/// Consecutive queries of one set and the machine's steal while they ran.
+struct Window {
+    samples: std::ops::Range<usize>,
+    dur_ns: u64,
+    /// (steal, total) `cpu_ticks` over the window.
+    ticks: (u64, u64),
+}
+
+impl Window {
+    fn between(open: Mark, close: Mark) -> Window {
+        Window {
+            samples: open.sample..close.sample,
+            dur_ns: ns_since(open.at, close.at),
+            ticks: (close.ticks.0 - open.ticks.0, close.ticks.1 - open.ticks.1),
+        }
+    }
+
+    fn steal(&self) -> f64 {
+        self.ticks.0 as f64 / self.ticks.1.max(1) as f64
     }
 }
 
@@ -457,16 +510,20 @@ impl TracedQuery {
 struct PhaseCtx<'a> {
     w: &'a Workload,
     seq: &'a [usize],
+    /// Query id of `seq[0]`.
+    base: usize,
+    /// Queries per steal window.
+    window: usize,
     expected: &'a [Vec<String>],
     traced: bool,
     epoch: Instant,
-    next: AtomicUsize,
 }
 
-/// What the clients recorded over one pass of the sequence.
+/// What the client recorded over one pass of the sequence.
 #[derive(Default)]
 struct Phase {
     samples: Vec<Sample>,
+    windows: Vec<Window>,
     wall: Duration,
     spans: Vec<Span>,
     layers: Vec<Layers>,
@@ -498,12 +555,18 @@ impl Phase {
         lat.iter().sum::<f64>() / lat.len().max(1) as f64
     }
 
-    /// Appends another client's record; span parents are re-based.
+    /// Appends another set's record; span parents and window samples are
+    /// re-based.
     fn absorb(&mut self, other: Phase) {
         let base = self.spans.len();
         self.spans.extend(other.spans.into_iter().map(|mut s| {
             s.parent = s.parent.map(|p| p + base);
             s
+        }));
+        let base = self.samples.len();
+        self.windows.extend(other.windows.into_iter().map(|mut x| {
+            x.samples = x.samples.start + base..x.samples.end + base;
+            x
         }));
         self.samples.extend(other.samples);
         self.layers.extend(other.layers);
@@ -512,41 +575,11 @@ impl Phase {
     }
 }
 
-/// Runs `seq` to the end with every client in its own thread.
-fn run_phase(
-    clients: &mut [Client],
-    w: &Workload,
-    seq: &[usize],
-    expected: &[Vec<String>],
-    traced: bool,
-    epoch: Instant,
-) -> Phase {
-    let ctx = PhaseCtx {
-        w,
-        seq,
-        expected,
-        traced,
-        epoch,
-        next: AtomicUsize::new(0),
-    };
+/// Runs `seq` to the end on `client`.
+fn run_phase(client: &mut Client, ctx: &PhaseCtx<'_>) -> Phase {
     let t0 = Instant::now();
-    let per_client: Vec<Phase> = std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .map(|c| s.spawn(|| c.drive(&ctx)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    let mut phase = Phase {
-        wall: t0.elapsed(),
-        ..Phase::default()
-    };
-    for log in per_client {
-        phase.absorb(log);
-    }
+    let mut phase = client.drive(ctx);
+    phase.wall = t0.elapsed();
     phase
 }
 
@@ -737,7 +770,32 @@ fn rss_kb(daemons: &[Daemon]) -> Vec<u64> {
     daemons.iter().map(|d| d.rss_kb().unwrap_or(0)).collect()
 }
 
+/// The machine's (steal, total) CPU time from `/proc/stat`, in ticks.
+/// Steal is time the host gave the virtual CPUs' share to someone else;
+/// every timing of this benchmark grows with it.
+fn cpu_ticks() -> (u64, u64) {
+    let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()
+        .and_then(|l| l.strip_prefix("cpu "))
+        .map(|l| {
+            l.split_whitespace()
+                .filter_map(|v| v.parse().ok())
+                .collect()
+        })
+        .unwrap_or_default();
+    // user nice system idle iowait irq softirq steal
+    match ticks.get(..8) {
+        Some(t) => (t[7], t.iter().sum()),
+        None => (0, 0),
+    }
+}
+
 struct Report {
+    /// Share of the machine's CPU time stolen by the host while queries
+    /// were timed.
+    steal_frac: f64,
     attempted: usize,
     failed: usize,
     metrics: Vec<Metric>,
@@ -745,6 +803,95 @@ struct Report {
     samples: Vec<(String, usize)>,
     problems: Vec<String>,
     table: String,
+}
+
+/// What one document set's stretch of the run recorded.
+struct SetRun {
+    setup_s: f64,
+    phase: Phase,
+    wire_bytes: u64,
+    exchanges: u64,
+    /// Every daemon's RSS in kB when the stretch ended.
+    rss_kb: Vec<u64>,
+    /// Growth of the daemons' summed RSS over the stretch, in kB.
+    rss_growth_kb: f64,
+    /// `cpu_ticks` spent over the stretch: (steal, total).
+    ticks: (u64, u64),
+}
+
+/// Runs the stretch `part` of the query sequence (starting at query id
+/// `base`) against daemons serving documents generated from `doc_seed`:
+/// set-up, oracle, warm-up, the timed pass, drain. Problems that do not
+/// stop the stretch (failed warm-ups, bad drains) go to `problems`.
+#[allow(clippy::too_many_arguments)]
+fn run_set(
+    args: &Args,
+    doc_bytes: usize,
+    doc_seed: u64,
+    dir: &Path,
+    part: &[usize],
+    base: usize,
+    epoch: Instant,
+    problems: &mut Vec<String>,
+) -> Result<SetRun, String> {
+    let w = args.workload;
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+
+    // set-up: document generation plus daemon spawn until every daemon
+    // is READY
+    let t0 = Instant::now();
+    let docs = generate_documents(w, doc_bytes, doc_seed);
+    let daemons = spawn_daemons(&args.xqd, dir, &docs)?;
+    let setup_s = t0.elapsed().as_secs_f64();
+
+    let mut oracle = load_federation(&docs)?;
+    let expected = w
+        .templates
+        .iter()
+        .map(|t| oracle.run(template_query(t), w.strategy).map(|o| o.result))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("oracle run: {e}"))?;
+
+    let replay_docs = args.trace.then_some(docs.as_slice());
+    let mut client = Client::connect(epoch, &daemons, replay_docs)?;
+    let mut warmup_failed = 0;
+    for _ in 0..if args.small { 1 } else { WARMUP } {
+        for (t, exp) in expected.iter().enumerate() {
+            warmup_failed += usize::from(client.query(w, t, exp).is_none());
+        }
+    }
+    if warmup_failed > 0 {
+        problems.push(format!("{warmup_failed} warm-up queries failed"));
+    }
+
+    let tn = w.templates.len();
+    let ctx = PhaseCtx {
+        w,
+        seq: part,
+        base,
+        window: tn * ((WINDOW_S * w.nominal_qps / tn as f64).round() as usize).max(1),
+        expected: &expected,
+        traced: args.trace,
+        epoch,
+    };
+    let (x0, bytes0) = client.tap.counts();
+    let rss0 = rss_kb(&daemons).iter().sum::<u64>();
+    let ticks0 = cpu_ticks();
+    let phase = run_phase(&mut client, &ctx);
+    let ticks1 = cpu_ticks();
+    let rss_kb = rss_kb(&daemons);
+    let (x1, bytes1) = client.tap.counts();
+    drop(client);
+    problems.extend(daemons.into_iter().filter_map(|d| d.drain().err()));
+    Ok(SetRun {
+        setup_s,
+        phase,
+        wire_bytes: bytes1 - bytes0,
+        exchanges: x1 - x0,
+        rss_growth_kb: rss_kb.iter().sum::<u64>() as f64 - rss0 as f64,
+        rss_kb,
+        ticks: (ticks1.0 - ticks0.0, ticks1.1 - ticks0.1),
+    })
 }
 
 fn run(args: &Args) -> Result<Report, String> {
@@ -756,146 +903,147 @@ fn run(args: &Args) -> Result<Report, String> {
         args.seed,
         u8::from(args.trace)
     ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let doc_bytes = if args.small {
         w.doc_bytes / 16
     } else {
         w.doc_bytes
     };
-    let setups = if args.small { 1 } else { SETUPS };
-    let mut problems = Vec::new();
-
-    // set-up: document generation plus daemon spawn until every daemon
-    // is READY, repeated; the last set-up's daemons serve the run
-    let mut setup_s = Vec::new();
-    let mut docs = Vec::new();
-    let mut daemons = Vec::new();
-    for rep in 0..setups {
-        let t0 = Instant::now();
-        docs = generate_documents(w, doc_bytes, args.seed);
-        daemons = spawn_daemons(&args.xqd, &dir, &docs)?;
-        setup_s.push(t0.elapsed().as_secs_f64());
-        if rep + 1 < setups {
-            problems.extend(daemons.drain(..).filter_map(|d| d.drain().err()));
-        }
-    }
-
-    let mut oracle = load_federation(&docs)?;
-    let expected = w
-        .templates
-        .iter()
-        .map(|t| oracle.run(template_query(t), w.strategy).map(|o| o.result))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("oracle run: {e}"))?;
-
-    let replay_docs = args.trace.then_some(docs.as_slice());
-    let mut clients = (0..w.clients)
-        .map(|_| Client::connect(epoch, &daemons, replay_docs))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut warmup_failed = 0;
-    for c in &mut clients {
-        for _ in 0..if args.small { 1 } else { WARMUP } {
-            for (t, exp) in expected.iter().enumerate() {
-                warmup_failed += usize::from(c.query(w, t, exp).is_none());
-            }
-        }
-    }
-    if warmup_failed > 0 {
-        problems.push(format!("{warmup_failed} warm-up queries failed"));
-    }
-
-    let n = if args.small {
-        4 * w.templates.len()
+    let sets = if args.small { 2 } else { SETS };
+    let tn = w.templates.len();
+    // every set's stretch holds whole blocks, so each sees the same mix
+    let blocks = if args.small {
+        2
     } else {
-        ((args.seconds * w.nominal_qps).ceil() as usize).max(4 * w.templates.len())
+        ((args.seconds * w.nominal_qps / (sets * tn) as f64).ceil() as usize).max(2)
     };
-    let seq = query_sequence(args.seed, w.templates.len(), n);
-    let wire = |clients: &[Client]| {
-        clients
-            .iter()
-            .map(|c| c.tap.counts())
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-    };
+    let per_set = blocks * tn;
+    let seq = query_sequence(args.seed, tn, per_set * sets);
+    let mut doc_seeds = SplitMix(args.seed ^ 0x00d0_c5ee_d5e7_5000);
+    let mut problems = Vec::new();
+    let mut runs = Vec::new();
+    for (k, part) in seq.chunks(per_set).enumerate() {
+        let set_dir = dir.join(format!("set{k}"));
+        runs.push(run_set(
+            args,
+            doc_bytes,
+            doc_seeds.next(),
+            &set_dir,
+            part,
+            k * per_set,
+            epoch,
+            &mut problems,
+        )?);
+    }
+    let n = seq.len();
+    let setup_s: Vec<f64> = runs.iter().map(|r| r.setup_s).collect();
+    let steal = |r: &SetRun| r.ticks.0 as f64 / r.ticks.1.max(1) as f64;
+    let ticks = runs
+        .iter()
+        .fold((0, 0), |a, r| (a.0 + r.ticks.0, a.1 + r.ticks.1));
+    let steal_frac = ticks.0 as f64 / ticks.1.max(1) as f64;
 
     let mut report = if !args.trace {
-        let (_, bytes0) = wire(&clients);
-        let phase = run_phase(&mut clients, w, &seq, &expected, false, epoch);
-        let (_, bytes1) = wire(&clients);
-        let rss = rss_kb(&daemons);
-        let lat = phase.ok_latencies_ms(None, None);
-        let ok = phase.ok();
-        let wall_s = phase.wall.as_secs_f64();
-        let mut setup_sorted = setup_s.clone();
-        setup_sorted.sort_by(f64::total_cmp);
+        // timings come from the quiet windows: those whose steal is at
+        // most the median window's. On a shared virtual machine every
+        // timing grows with steal, and it comes in bursts.
+        let windows: Vec<(&SetRun, &Window)> = runs
+            .iter()
+            .flat_map(|r| r.phase.windows.iter().map(move |x| (r, x)))
+            .collect();
+        let cut = percentile(
+            &windows.iter().map(|(_, x)| x.steal()).collect::<Vec<_>>(),
+            0.5,
+        );
+        let quiet: Vec<&(&SetRun, &Window)> =
+            windows.iter().filter(|(_, x)| x.steal() <= cut).collect();
+        let lat: Vec<f64> = quiet
+            .iter()
+            .flat_map(|(r, x)| &r.phase.samples[x.samples.clone()])
+            .filter(|s| s.ok)
+            .map(|s| s.lat_ns as f64 / 1e6)
+            .collect();
+        let quiet_s = quiet.iter().map(|(_, x)| x.dur_ns).sum::<u64>() as f64 / 1e9;
+        let rss_mb: Vec<f64> = runs
+            .iter()
+            .map(|r| *r.rss_kb.iter().max().unwrap_or(&0) as f64 / 1024.0)
+            .collect();
+        let ok: usize = runs.iter().map(|r| r.phase.ok()).sum();
+        let wire: u64 = runs.iter().map(|r| r.wire_bytes).sum();
+        let mut table = format!(
+            "{} seed {}: {n} queries in {} sets, {ok} ok; {} of {} windows quiet \
+             (steal <= {:.2}%)\n  set   steal      qps   p50 ms   p90 ms  setup ms\n",
+            w.name,
+            args.seed,
+            runs.len(),
+            quiet.len(),
+            windows.len(),
+            100.0 * cut
+        );
+        for (k, r) in runs.iter().enumerate() {
+            let lat = r.phase.ok_latencies_ms(None, None);
+            let _ = writeln!(
+                table,
+                "  {k:>3} {:>6.2}% {:>8.1} {:>8.3} {:>8.3} {:>9.3}",
+                100.0 * steal(r),
+                r.phase.ok() as f64 / r.phase.wall.as_secs_f64(),
+                percentile(&lat, 0.5),
+                percentile(&lat, 0.9),
+                r.setup_s * 1e3
+            );
+        }
         Report {
+            steal_frac,
             attempted: n,
             failed: n - ok,
             metrics: vec![
-                metric("qps", ok as f64 / wall_s, "1/s"),
+                metric("qps", lat.len() as f64 / quiet_s, "1/s"),
                 metric("lat_p50_ms", percentile(&lat, 0.5), "ms"),
                 metric("lat_p90_ms", percentile(&lat, 0.9), "ms"),
-                metric(
-                    "wire_bytes_per_query",
-                    (bytes1 - bytes0) as f64 / n as f64,
-                    "B",
-                ),
+                metric("wire_bytes_per_query", wire as f64 / n as f64, "B"),
                 metric("ok_frac", ok as f64 / n as f64, "frac"),
-                metric(
-                    "daemon_rss_mb",
-                    *rss.iter().max().unwrap_or(&0) as f64 / 1024.0,
-                    "MB",
-                ),
+                metric("daemon_rss_mb", percentile(&rss_mb, 0.5), "MB"),
                 metric("setup_s", percentile(&setup_s, 0.5), "s"),
             ],
             samples: vec![
                 ("queries".into(), n),
+                ("sets".into(), runs.len()),
+                ("quiet_windows".into(), quiet.len()),
+                ("qps".into(), lat.len()),
                 ("lat_p50_ms".into(), lat.len()),
                 ("lat_p90_ms".into(), lat.len()),
                 ("setup_s".into(), setup_s.len()),
-                ("daemon_rss_mb".into(), rss.len()),
+                (
+                    "daemon_rss_mb".into(),
+                    runs.iter().map(|r| r.rss_kb.len()).sum(),
+                ),
             ],
             problems: Vec::new(),
-            table: format!(
-                "{} seed {}: {} queries in {:.3} s, {} ok; setups {:?} s\n",
-                w.name, args.seed, n, wall_s, ok, setup_sorted
-            ),
+            table,
         }
     } else {
-        traced_run(
-            args,
-            w,
-            &mut clients,
-            &daemons,
-            &seq,
-            &expected,
-            epoch,
-            &dir,
-        )?
+        let rss_growth_kb = runs.iter().map(|r| r.rss_growth_kb).sum::<f64>();
+        let exchanges = runs.iter().map(|r| r.exchanges).sum::<u64>();
+        let mut phase = Phase::default();
+        for r in runs {
+            phase.absorb(r.phase);
+        }
+        traced_report(args, phase, rss_growth_kb, exchanges, &dir, steal_frac)?
     };
-    drop(clients);
-    problems.extend(daemons.into_iter().filter_map(|d| d.drain().err()));
     report.problems.extend(problems);
     Ok(report)
 }
 
-/// `--trace 1`: one pass over the sequence with every other block traced
-/// and paced replays splitting the traced queries by layer.
-#[allow(clippy::too_many_arguments)]
-fn traced_run(
+/// `--trace 1`: the per-layer split of the traced queries of every set,
+/// from their spans and paced replays.
+fn traced_report(
     args: &Args,
-    w: &Workload,
-    clients: &mut [Client],
-    daemons: &[Daemon],
-    seq: &[usize],
-    expected: &[Vec<String>],
-    epoch: Instant,
+    phase: Phase,
+    rss_growth: f64,
+    exchanges: u64,
     dir: &Path,
+    steal_frac: f64,
 ) -> Result<Report, String> {
-    let exchanges = |clients: &[Client]| clients.iter().map(|c| c.tap.counts().0).sum::<u64>();
-    let (rss0, x0) = (rss_kb(daemons).iter().sum::<u64>(), exchanges(clients));
-    let phase = run_phase(clients, w, seq, expected, true, epoch);
-    let (rss1, x1) = (rss_kb(daemons).iter().sum::<u64>(), exchanges(clients));
-
+    let w = args.workload;
     let spans_file = dir.join("spans.jsonl");
     let body: String = phase.spans.iter().map(|s| s.to_json() + "\n").collect();
     std::fs::write(&spans_file, body)
@@ -911,7 +1059,6 @@ fn traced_run(
     let unattributed_us = layers.iter().map(unattributed).sum::<f64>() / k / 1e3;
     let overhead_us = (mean(|l| l.xchg_sum) - mean(|l| l.peer_service)) / 1e3;
     let overlap_credit_us = (mean(|l| l.xchg_sum) - mean(|l| l.xchg_union)) / 1e3;
-    let rss_growth = rss1 as f64 - rss0 as f64;
 
     let mut metrics = vec![
         metric("front.parse_us", us(|l| l.parse), "us"),
@@ -941,7 +1088,7 @@ fn traced_run(
         metric("peer.serialize_us", us(|l| l.peer_serialize), "us"),
         metric(
             "peer.rss_kb_per_kreq",
-            rss_growth / (x1 - x0).max(1) as f64 * 1e3,
+            rss_growth / exchanges.max(1) as f64 * 1e3,
             "kB",
         ),
     ];
@@ -999,6 +1146,7 @@ fn traced_run(
     );
 
     Ok(Report {
+        steal_frac,
         attempted: phase.samples.len(),
         failed: phase.samples.len() - phase.ok(),
         metrics,
@@ -1054,7 +1202,7 @@ fn main() -> ExitCode {
         .map(|(k, n)| format!("{}: {n}", json_str(k)))
         .collect();
     println!(
-        r#"{{"provenance": {{"git_rev": {}, "source_digest": {}, "host": {}, "nproc": {nproc}, "seed": {}, "workload": {}, "clock": "wall", "trace": {}, "seconds": {}, "small": {}, "clients": {}, "strategy": {}, "doc_bytes": {}, "samples": {{{}}}, "problems": [{}]}}}}"#,
+        r#"{{"provenance": {{"git_rev": {}, "source_digest": {}, "host": {}, "nproc": {nproc}, "seed": {}, "workload": {}, "clock": "wall", "trace": {}, "seconds": {}, "small": {}, "clients": 1, "strategy": {}, "doc_bytes": {}, "host_steal_frac": {}, "samples": {{{}}}, "problems": [{}]}}}}"#,
         json_str(&args.git_rev),
         json_str(&args.source_digest),
         json_str(&host()),
@@ -1063,13 +1211,13 @@ fn main() -> ExitCode {
         u8::from(args.trace),
         json_num(args.seconds),
         args.small,
-        w.clients,
         json_str(w.strategy.name()),
         if args.small {
             w.doc_bytes / 16
         } else {
             w.doc_bytes
         },
+        json_num(report.steal_frac),
         samples.join(", "),
         report
             .problems
