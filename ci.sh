@@ -10,6 +10,10 @@ cargo build --release --offline
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== sockbench unit tests (own workspace, offline) =="
+# sockbench/ is its own cargo workspace, so --workspace above skips it.
+cargo test -q --offline --manifest-path sockbench/Cargo.toml
+
 echo "== clippy (all targets, deny warnings) =="
 cargo clippy --offline --all-targets -- -D warnings
 

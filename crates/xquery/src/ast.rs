@@ -33,6 +33,9 @@ impl Atomic {
             Atomic::Dbl(d) => {
                 if d.fract() == 0.0 && d.is_finite() && d.abs() < 1e15 {
                     format!("{}", *d as i64)
+                } else if d.is_infinite() {
+                    // xs:double spelling, which `fn:number` reads back
+                    (if *d > 0.0 { "INF" } else { "-INF" }).to_string()
                 } else {
                     format!("{d}")
                 }
@@ -877,6 +880,9 @@ mod tests {
         assert_eq!(Atomic::Int(-3).to_lexical(), "-3");
         assert_eq!(Atomic::Dbl(2.0).to_lexical(), "2");
         assert_eq!(Atomic::Dbl(2.5).to_lexical(), "2.5");
+        assert_eq!(Atomic::Dbl(f64::INFINITY).to_lexical(), "INF");
+        assert_eq!(Atomic::Dbl(f64::NEG_INFINITY).to_lexical(), "-INF");
+        assert_eq!(Atomic::Dbl(f64::NAN).to_lexical(), "NaN");
         assert_eq!(Atomic::Bool(true).to_lexical(), "true");
         assert_eq!(Atomic::Untyped("x".into()).to_lexical(), "x");
     }

@@ -252,13 +252,24 @@ pub fn eval_builtin(
             vec![Item::Atom(Atomic::Bool(deep_equal(ev.store, &args[0], &args[1])))]
         }
         ("distinct-values", 1) => {
+            let atoms = atomize(ev.store, &args[0]);
             let mut out: Vec<Atomic> = Vec::new();
-            for a in atomize(ev.store, &args[0]) {
-                let dup = out.iter().any(|b| {
-                    compare_atomics(crate::ast::CompOp::Eq, &a, b).unwrap_or(false)
-                });
-                if !dup {
-                    out.push(a);
+            if atoms.iter().all(|a| string_class(a).is_some()) {
+                // string-class `eq` is string equality: dedup by hash
+                let mut seen = StringClassSet::default();
+                out.extend(
+                    atoms.into_iter().filter(|a| string_class(a).is_some_and(|s| seen.insert(s))),
+                );
+            } else {
+                // mixed types merge across classes (integer 1 absorbs
+                // untyped "1"), so keep the pairwise `eq` scan
+                for a in atoms {
+                    let dup = out.iter().any(|b| {
+                        compare_atomics(crate::ast::CompOp::Eq, &a, b).unwrap_or(false)
+                    });
+                    if !dup {
+                        out.push(a);
+                    }
                 }
             }
             out.into_iter().map(Item::Atom).collect()

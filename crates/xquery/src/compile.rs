@@ -1115,7 +1115,7 @@ impl<'a> Evaluator<'a> {
             }
             Op::Comparison { op, lhs, rhs, scatter } => {
                 let (l, r) = self.eval_operand_pair_plan(plan, nc, *lhs, *rhs, *scatter)?;
-                let b = general_compare(self.store, *op, &l, &r)?;
+                let b = self.general_compare(*op, &l, &r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
             }
             Op::NodeComparison { op, lhs, rhs, scatter } => {

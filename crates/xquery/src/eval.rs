@@ -149,6 +149,9 @@ pub struct Evaluator<'a> {
     /// Per-op profiling hook for the compiled engine (`EXPLAIN ANALYZE`);
     /// `None` on ordinary runs, leaving only a branch on the dispatch path.
     pub(crate) profile: Option<crate::compile::ProfileHook>,
+    /// Keysets atomized for hash-probed `=`; lives and dies with this
+    /// evaluator, so nothing outlasts the request.
+    compare_memo: CompareMemo,
 }
 
 impl<'a> Evaluator<'a> {
@@ -169,6 +172,7 @@ impl<'a> Evaluator<'a> {
             use_indexes: true,
             scratch: Vec::new(),
             profile: None,
+            compare_memo: CompareMemo::default(),
         }
     }
 
@@ -207,6 +211,17 @@ impl<'a> Evaluator<'a> {
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.clone())
             .ok_or_else(|| EvalError::new(format!("unbound variable ${name}")))
+    }
+
+    /// General comparison for both engines, hash-probed through the
+    /// request's [`CompareMemo`] where that gives the same answer.
+    pub(crate) fn general_compare(
+        &mut self,
+        op: CompOp,
+        l: &Sequence,
+        r: &Sequence,
+    ) -> EvalResult<bool> {
+        self.compare_memo.general_compare(self.store, op, l, r)
     }
 
     pub(crate) fn context_item(&self) -> EvalResult<Item> {
@@ -297,7 +312,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::Comparison { op, lhs, rhs } => {
                 let (l, r) = self.eval_operand_pair(lhs, rhs)?;
-                let b = general_compare(self.store, *op, &l, &r)?;
+                let b = self.general_compare(*op, &l, &r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
             }
             Expr::NodeComparison { op, lhs, rhs } => {

@@ -1,6 +1,7 @@
 //! XDM values: items, sequences, atomization, effective boolean value,
 //! comparison semantics and `fn:deep-equal`.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,6 +56,23 @@ impl Sequence {
     pub fn into_vec(self) -> Vec<Item> {
         Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.as_ref().clone())
     }
+
+    /// True if both handles share one allocation: the same bound value,
+    /// not merely equal items.
+    pub fn ptr_eq(&self, other: &Sequence) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// True if another handle to this allocation exists. A sequence only
+    /// its holder references is dropped with it and can never be seen again.
+    fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.0) > 1
+    }
+
+    /// Address of the shared allocation: the identity [`CompareMemo`] keys on.
+    fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
+    }
 }
 
 // Debug matches `Vec<Item>` so diagnostics and doctest expectations read as
@@ -105,7 +123,7 @@ impl<'a> IntoIterator for &'a Sequence {
 
 impl PartialEq for Sequence {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.as_slice() == other.as_slice()
+        self.ptr_eq(other) || self.as_slice() == other.as_slice()
     }
 }
 
@@ -197,8 +215,22 @@ pub fn to_number(a: &Atomic) -> Option<f64> {
     match a {
         Atomic::Int(i) => Some(*i as f64),
         Atomic::Dbl(d) => Some(*d),
-        Atomic::Str(s) | Atomic::Untyped(s) => s.trim().parse::<f64>().ok(),
+        Atomic::Str(s) | Atomic::Untyped(s) => parse_double(s.trim()),
         Atomic::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
+    }
+}
+
+/// Parses the xs:double lexical space. Rust's `f64::from_str` also takes
+/// `inf`, `infinity` and `nan` in any case; XML Schema spells the specials
+/// only `INF`, `+INF`, `-INF` and `NaN`, so every other letter but an
+/// exponent marker is rejected before the numeric parse.
+fn parse_double(s: &str) -> Option<f64> {
+    match s {
+        "INF" | "+INF" => Some(f64::INFINITY),
+        "-INF" => Some(f64::NEG_INFINITY),
+        "NaN" => Some(f64::NAN),
+        _ if s.bytes().all(|b| b.is_ascii_digit() || b"+-.eE".contains(&b)) => s.parse().ok(),
+        _ => None,
     }
 }
 
@@ -288,6 +320,149 @@ pub fn general_compare(
         }
     }
     Ok(false)
+}
+
+/// The string of a string-class atom (`xs:string` or `xs:untypedAtomic`),
+/// `None` for any other type. Between two string-class atoms `eq` is plain
+/// codepoint equality and can never raise a type error.
+pub fn string_class(a: &Atomic) -> Option<&str> {
+    match a {
+        Atomic::Str(s) | Atomic::Untyped(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Distinct strings of string-class atoms: a hash lookup decides `eq`
+/// against any of them.
+#[derive(Debug, Default)]
+pub struct StringClassSet(HashSet<String>);
+
+impl StringClassSet {
+    /// The set of `atoms`' strings, or `None` if any atom is not string-class.
+    pub fn from_atoms(atoms: Vec<Atomic>) -> Option<Self> {
+        atoms
+            .into_iter()
+            .map(|a| match a {
+                Atomic::Str(s) | Atomic::Untyped(s) => Some(s),
+                _ => None,
+            })
+            .collect::<Option<HashSet<String>>>()
+            .map(StringClassSet)
+    }
+
+    pub fn contains(&self, s: &str) -> bool {
+        self.0.contains(s)
+    }
+
+    /// Adds `s`; true if it was not yet present.
+    pub fn insert(&mut self, s: &str) -> bool {
+        !self.0.contains(s) && self.0.insert(s.to_owned())
+    }
+}
+
+/// Request-scoped memo that turns `=` against a recurring operand into a
+/// hash probe, with exactly [`general_compare`]'s answers.
+///
+/// A keyset bound once (a `let`, a shipped XRPC parameter) and compared
+/// inside a loop arrives as the same [`Sequence`] allocation on every
+/// iteration, so the memo keys on that `Arc` identity. The first sighting
+/// is only recorded, which keeps one-shot comparisons free. The second
+/// atomizes the operand once into a [`StringClassSet`], and every later
+/// `=` probes it. The probe answers only when both operands are wholly
+/// string-class: then no pair can raise an error and the existential
+/// answer does not depend on the scan order. Any other operator or type
+/// mix falls through to [`general_compare`]'s nested loop unchanged, first
+/// error included.
+///
+/// Each entry holds a clone of its sequence, so no other value can take
+/// its address while the entry lives. One memo belongs to one
+/// [`Evaluator`](crate::Evaluator), so it is dropped with its request.
+#[derive(Default)]
+pub struct CompareMemo {
+    entries: HashMap<usize, MemoEntry>,
+    /// Entry count at which entries held by nothing but the memo are swept.
+    sweep_at: usize,
+}
+
+struct MemoEntry {
+    seq: Sequence,
+    keys: MemoKeys,
+}
+
+enum MemoKeys {
+    /// Seen once; atomized on the next sighting.
+    Seen,
+    Strings(StringClassSet),
+    /// Some atom is not string-class: never probed.
+    Mixed,
+}
+
+impl CompareMemo {
+    /// [`general_compare`] through the memo.
+    pub fn general_compare(
+        &mut self,
+        store: &Store,
+        op: CompOp,
+        lhs: &Sequence,
+        rhs: &Sequence,
+    ) -> EvalResult<bool> {
+        if op == CompOp::Eq {
+            if let Some(hit) = self.probe(store, rhs, lhs).or_else(|| self.probe(store, lhs, rhs)) {
+                return Ok(hit);
+            }
+        }
+        general_compare(store, op, lhs, rhs)
+    }
+
+    /// `other = keys` by hash probe, or `None` when either operand is not
+    /// wholly string-class or `keys` has no set yet.
+    fn probe(&mut self, store: &Store, keys: &Sequence, other: &Sequence) -> Option<bool> {
+        let set = self.string_keys(store, keys)?;
+        let mut hit = false;
+        for item in other.iter() {
+            // every atom must be checked before answering: a non-string
+            // atom anywhere hands the whole comparison to the nested loop
+            hit |= set.contains(string_class(&atomize_item(store, item))?);
+        }
+        Some(hit)
+    }
+
+    /// Records a sighting of `seq` and returns its string set from the
+    /// second sighting on.
+    fn string_keys(&mut self, store: &Store, seq: &Sequence) -> Option<&StringClassSet> {
+        if !seq.is_shared() {
+            return None;
+        }
+        let key = seq.addr();
+        if !self.entries.contains_key(&key) {
+            self.sweep();
+            self.entries.insert(key, MemoEntry { seq: seq.clone(), keys: MemoKeys::Seen });
+            return None;
+        }
+        let entry = self.entries.get_mut(&key)?;
+        debug_assert!(entry.seq.ptr_eq(seq));
+        if let MemoKeys::Seen = entry.keys {
+            entry.keys = match StringClassSet::from_atoms(atomize(store, seq)) {
+                Some(set) => MemoKeys::Strings(set),
+                None => MemoKeys::Mixed,
+            };
+        }
+        match &entry.keys {
+            MemoKeys::Strings(set) => Some(set),
+            _ => None,
+        }
+    }
+
+    /// Drops entries whose sequence nothing but the memo still holds: they
+    /// can never be compared again. Sweeping at twice the surviving count
+    /// keeps the cost amortized O(1) per insert and the memo at most twice
+    /// its live size.
+    fn sweep(&mut self) {
+        if self.entries.len() >= self.sweep_at {
+            self.entries.retain(|_, e| e.seq.is_shared());
+            self.sweep_at = 2 * self.entries.len() + 1;
+        }
+    }
 }
 
 /// Sorts a node sequence into document order and removes duplicates.
@@ -504,6 +679,75 @@ mod tests {
         assert_eq!(seq, vec![Item::Node(NodeId::new(d, 2)), Item::Node(NodeId::new(d, 3))]);
         let mut bad = vec![Item::Atom(Atomic::Int(1))];
         assert!(sort_document_order(&mut bad).is_err());
+    }
+
+    #[test]
+    fn double_lexical_space_is_xml_schema() {
+        let num = |s: &str| to_number(&Atomic::Untyped(s.into()));
+        assert_eq!(num("INF"), Some(f64::INFINITY));
+        assert_eq!(num("+INF"), Some(f64::INFINITY));
+        assert_eq!(num(" -INF "), Some(f64::NEG_INFINITY));
+        assert!(num("NaN").unwrap().is_nan());
+        assert_eq!(num("1.5e3"), Some(1500.0));
+        assert_eq!(num("-.5"), Some(-0.5));
+        assert_eq!(num("7."), Some(7.0));
+        for bad in [
+            "inf", "Inf", "-inf", "+inf", "Infinity", "infinity", "-Infinity", "INFINITY",
+            "nan", "NAN", "-NaN", "+NaN", "", ".", "e3", "1e", "0x10",
+        ] {
+            assert_eq!(num(bad), None, "{bad:?} is not in the xs:double lexical space");
+        }
+        // a double's own lexical form reads back
+        for d in [f64::INFINITY, f64::NEG_INFINITY, 2.5] {
+            assert_eq!(num(&Atomic::Dbl(d).to_lexical()), Some(d));
+        }
+        // untyped vs number casts to xs:double: a Rust-only spelling is a
+        // cast error, not a comparison with infinity
+        let inf = Atomic::Untyped("inf".into());
+        assert!(compare_atomics(CompOp::Lt, &inf, &Atomic::Int(3)).is_err());
+        assert!(!compare_atomics(CompOp::Lt, &Atomic::Untyped("INF".into()), &Atomic::Int(3))
+            .unwrap());
+    }
+
+    fn strs(vals: &[&str]) -> Sequence {
+        vals.iter().map(|v| Item::Atom(Atomic::Untyped(v.to_string()))).collect()
+    }
+
+    #[test]
+    fn memo_builds_the_set_on_the_second_sighting() {
+        let store = Store::new();
+        let mut memo = CompareMemo::default();
+        let keys = strs(&["a", "b", "c"]);
+        let bound = keys.clone(); // as a variable binding holds it
+        let key = keys.addr();
+        assert!(memo.general_compare(&store, CompOp::Eq, &strs(&["b"]), &keys).unwrap());
+        assert!(matches!(memo.entries[&key].keys, MemoKeys::Seen));
+        assert!(!memo.general_compare(&store, CompOp::Eq, &strs(&["z"]), &keys).unwrap());
+        assert!(matches!(memo.entries[&key].keys, MemoKeys::Strings(_)));
+        assert!(memo.general_compare(&store, CompOp::Eq, &keys, &strs(&["z", "c"])).unwrap());
+        // an unshared temporary can never recur and is never recorded
+        assert!(!memo.entries.keys().any(|&k| k != key));
+        // a non-string atom on the probed side takes the nested loop, error
+        // included
+        let mixed: Sequence = vec![Item::Atom(Atomic::Int(1))].into();
+        assert!(memo.general_compare(&store, CompOp::Eq, &mixed, &keys).is_err());
+        drop(bound);
+    }
+
+    #[test]
+    fn memo_sweeps_entries_only_it_still_holds() {
+        let store = Store::new();
+        let mut memo = CompareMemo::default();
+        let live = strs(&["k"]);
+        let _live_binding = live.clone();
+        memo.general_compare(&store, CompOp::Eq, &strs(&["x"]), &live).unwrap();
+        for i in 0..1000 {
+            let dead = strs(&[&i.to_string()]);
+            let binding = dead.clone();
+            memo.general_compare(&store, CompOp::Eq, &strs(&["x"]), &binding).unwrap();
+        }
+        assert!(memo.entries.len() <= 4, "memo kept {} entries", memo.entries.len());
+        assert!(memo.entries.contains_key(&live.addr()));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use xqd_xml::{parse_document, serialize_node, NodeKind, Store};
 use xqd_xquery::value::string_value;
-use xqd_xquery::{eval_query, parse_query, Atomic, Item};
+use xqd_xquery::{
+    compile_query, eval_query, parse_query, Atomic, Evaluator, Item, LocalResolver, StaticContext,
+};
 
 fn fixture() -> Store {
     let mut s = Store::new();
@@ -434,6 +436,98 @@ fn builtin_distinct_values() {
     let mut s = fixture();
     let r = run(&mut s, "distinct-values((1, 2, 1, \"a\", \"a\"))");
     assert_eq!(r.len(), 3);
+}
+
+#[test]
+fn distinct_values_of_strings_keeps_first_occurrences() {
+    let mut s = fixture();
+    // string-class atoms dedup by string: xs:string "b" and the untyped
+    // name value "ann" absorb later equal strings of either type
+    let r = run(
+        &mut s,
+        "distinct-values((\"b\", doc(\"people.xml\")//name, \"ann\", \"b\", \"\", \"cid\", \"\"))",
+    );
+    assert_eq!(
+        atoms(&r),
+        vec![
+            Atomic::Str("b".into()),
+            Atomic::Untyped("ann".into()),
+            Atomic::Untyped("bob".into()),
+            Atomic::Untyped("cid".into()),
+            Atomic::Str("".into()),
+        ]
+    );
+    // one numeric atom keeps the cross-type merge: integer 30 absorbs
+    // untyped "30" (cast to a number), string "30" stays apart
+    let r = run(
+        &mut s,
+        "distinct-values((30, doc(\"people.xml\")//age, \"30\", \
+         doc(\"people.xml\")//name[. = \"ann\"], doc(\"people.xml\")//name[. = \"ann\"]))",
+    );
+    assert_eq!(
+        atoms(&r),
+        vec![
+            Atomic::Int(30),
+            Atomic::Untyped("50".into()),
+            Atomic::Untyped("39".into()),
+            Atomic::Str("30".into()),
+            Atomic::Untyped("ann".into()),
+        ]
+    );
+}
+
+/// The query under the tree-walk interpreter and under its compiled plan,
+/// each on a fresh fixture.
+fn run_both_engines(q: &str) -> (Vec<String>, Vec<String>) {
+    let m = parse_query(q).unwrap_or_else(|e| panic!("parse {q:?}: {e}"));
+    let interpreted = run_strings(&mut fixture(), q);
+    let mut s = fixture();
+    let plan = compile_query(&m, true, &StaticContext::default());
+    let mut resolver = LocalResolver;
+    let compiled = plan
+        .eval(&mut Evaluator::new(&mut s, &m.functions, &mut resolver))
+        .unwrap_or_else(|e| panic!("compiled eval {q:?}: {e}"))
+        .into_vec();
+    let compiled = compiled.iter().map(|i| string_value(&s, i)).collect();
+    (interpreted, compiled)
+}
+
+#[test]
+fn rebound_keyset_is_never_probed_with_a_stale_binding() {
+    // The outer `for` binds a new keyset per iteration; the inner `for`
+    // compares against it once per person, which turns the comparison into
+    // a hash probe from the second person on. Each iteration must see its
+    // own keys: a probe served from an earlier binding would repeat the
+    // previous course's names.
+    let queries = [
+        (
+            "for $c in doc(\"courses.xml\")//course \
+             let $refs := $c/enroll/@ref \
+             return string-join(for $p in doc(\"people.xml\")//person \
+                                return if ($p/@id = $refs) then $p/name/text() else (), \",\")",
+            vec!["ann,cid", "bob"],
+        ),
+        (
+            "for $i in (1, 2, 3, 1, 4) \
+             let $keys := (concat(\"p\", $i), \"none\") \
+             return count(for $p in doc(\"people.xml\")//person \
+                          return if ($keys = $p/@id) then $p else ())",
+            vec!["1", "1", "1", "1", "0"],
+        ),
+        (
+            // the same keyset bound to a second variable per iteration
+            "for $k in (\"ann\", \"bob\", \"eve\") \
+             let $keys := ($k, $k) let $alias := $keys \
+             return string-join(for $n in doc(\"people.xml\")//name \
+                                return if ($n = $alias) then string($n/../@id) else \"-\", \"\")",
+            vec!["p1--", "-p2-", "---"],
+        ),
+    ];
+    for (q, want) in queries {
+        let (interpreted, compiled) = run_both_engines(q);
+        assert_eq!(interpreted, want, "interpreter: {q}");
+        assert_eq!(compiled, want, "compiled plan: {q}");
+    }
 }
 
 #[test]
