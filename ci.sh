@@ -15,7 +15,7 @@ echo "== sockbench unit tests (own workspace, offline) =="
 cargo test -q --offline --manifest-path sockbench/Cargo.toml
 
 echo "== clippy (all targets, deny warnings) =="
-cargo clippy --offline --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== paths bench smoke (small N, offline) =="
 # Small-scale run of the staircase-join bench into a scratch path (the

@@ -26,7 +26,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
@@ -36,11 +36,11 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn bump(&mut self, n: usize) {
@@ -62,12 +62,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Returns the input up to `marker` and moves past the marker. Every
+    /// position the parser stops at follows an ASCII byte or a whole name,
+    /// so the slices below always fall on character boundaries.
     fn read_until(&mut self, marker: &str) -> Result<&'a str, ParseError> {
-        let rest = &self.input[self.pos..];
-        match rest.windows(marker.len()).position(|w| w == marker.as_bytes()) {
+        match self.input[self.pos..].find(marker) {
             Some(i) => {
-                let s = std::str::from_utf8(&rest[..i])
-                    .map_err(|_| ParseError { offset: self.pos, message: "invalid UTF-8".into() })?;
+                let s = &self.input[self.pos..self.pos + i];
                 self.pos += i + marker.len();
                 Ok(s)
             }
@@ -92,58 +93,9 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| ParseError { offset: start, message: "invalid UTF-8 in name".into() })
-    }
-
-    /// Decodes entity and character references in `raw` into `out`.
-    fn decode_text(&self, raw: &str, raw_offset: usize, out: &mut String) -> Result<(), ParseError> {
-        let bytes = raw.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            if bytes[i] == b'&' {
-                let rest = &raw[i..];
-                let semi = rest.find(';').ok_or(ParseError {
-                    offset: raw_offset + i,
-                    message: "unterminated entity reference".into(),
-                })?;
-                let ent = &rest[1..semi];
-                match ent {
-                    "amp" => out.push('&'),
-                    "lt" => out.push('<'),
-                    "gt" => out.push('>'),
-                    "quot" => out.push('"'),
-                    "apos" => out.push('\''),
-                    _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                        let cp = u32::from_str_radix(&ent[2..], 16).ok().and_then(char::from_u32);
-                        out.push(cp.ok_or(ParseError {
-                            offset: raw_offset + i,
-                            message: format!("bad character reference &{ent};"),
-                        })?);
-                    }
-                    _ if ent.starts_with('#') => {
-                        let cp = ent[1..].parse::<u32>().ok().and_then(char::from_u32);
-                        out.push(cp.ok_or(ParseError {
-                            offset: raw_offset + i,
-                            message: format!("bad character reference &{ent};"),
-                        })?);
-                    }
-                    _ => {
-                        return Err(ParseError {
-                            offset: raw_offset + i,
-                            message: format!("unknown entity &{ent};"),
-                        })
-                    }
-                }
-                i += semi + 1;
-            } else {
-                // copy a full UTF-8 scalar
-                let ch_len = utf8_len(bytes[i]);
-                out.push_str(&raw[i..i + ch_len]);
-                i += ch_len;
-            }
-        }
-        Ok(())
+        // name bytes include every byte >= 0x80, so a name never ends
+        // inside a multi-byte character
+        Ok(&self.input[start..self.pos])
     }
 
     fn parse_misc(&mut self, b: &mut DocBuilder) -> Result<bool, ParseError> {
@@ -208,20 +160,25 @@ impl<'a> Parser<'a> {
                     self.expect("=")?;
                     self.skip_ws();
                     let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
+                        Some(b'"') => "\"",
+                        Some(b'\'') => "'",
                         _ => return self.err("expected quoted attribute value"),
                     };
                     self.bump(1);
                     let raw_start = self.pos;
-                    let raw = self.read_until(if quote == b'"' { "\"" } else { "'" })?;
-                    let mut value = String::with_capacity(raw.len());
-                    self.decode_text(raw, raw_start, &mut value)?;
-                    b.attribute(attr_name, &value);
+                    let raw = self.read_until(quote)?;
+                    if raw.contains('&') {
+                        let mut value = String::with_capacity(raw.len());
+                        decode_text(raw, raw_start, &mut value)?;
+                        b.attribute(attr_name, &value);
+                    } else {
+                        b.attribute(attr_name, raw);
+                    }
                 }
                 None => return self.err("unterminated start tag"),
             }
         }
-        // content
+        // content: a text run and adjacent CDATA sections make one text node
         let mut text = String::new();
         loop {
             match self.peek() {
@@ -255,31 +212,66 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     let start = self.pos;
-                    while !matches!(self.peek(), Some(b'<') | None) {
-                        self.pos += 1;
+                    self.pos += self.input[start..].find('<').unwrap_or(self.input.len() - start);
+                    let raw = &self.input[start..self.pos];
+                    if text.is_empty() && !raw.contains('&') && !self.starts_with("<![CDATA[") {
+                        // a lone entity-free run goes to the builder as an input slice
+                        b.text(raw);
+                    } else {
+                        decode_text(raw, start, &mut text)?;
                     }
-                    let raw = std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| {
-                        ParseError { offset: start, message: "invalid UTF-8 in text".into() }
-                    })?;
-                    self.decode_text(raw, start, &mut text)?;
                 }
             }
         }
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+/// Decodes entity and character references in `raw` into `out`, copying
+/// the spans between references whole. `raw_offset` is `raw`'s position
+/// in the input, for error offsets.
+fn decode_text(raw: &str, raw_offset: usize, out: &mut String) -> Result<(), ParseError> {
+    let mut i = 0;
+    while let Some(amp) = raw[i..].find('&') {
+        out.push_str(&raw[i..i + amp]);
+        i += amp;
+        let err = |message: String| ParseError { offset: raw_offset + i, message };
+        let semi = raw[i..]
+            .find(';')
+            .ok_or_else(|| err("unterminated entity reference".into()))?;
+        let ent = &raw[i + 1..i + semi];
+        let decoded = match ent {
+            "amp" => '&',
+            "lt" => '<',
+            "gt" => '>',
+            "quot" => '"',
+            "apos" => '\'',
+            _ => {
+                let hex = ent.strip_prefix("#x").or_else(|| ent.strip_prefix("#X"));
+                let cp = if let Some(hex) = hex {
+                    u32::from_str_radix(hex, 16).ok()
+                } else if let Some(dec) = ent.strip_prefix('#') {
+                    dec.parse::<u32>().ok()
+                } else {
+                    return Err(err(format!("unknown entity &{ent};")));
+                };
+                cp.and_then(char::from_u32)
+                    .ok_or_else(|| err(format!("bad character reference &{ent};")))?
+            }
+        };
+        out.push(decoded);
+        i += semi + 1;
     }
+    out.push_str(&raw[i..]);
+    Ok(())
 }
 
 /// Parses `input` into a [`DocBuilder`] (not yet attached to a store).
 pub fn parse_to_builder(input: &str, uri: Option<&str>) -> Result<DocBuilder, ParseError> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0 };
+    // node values are addressed by u32 offsets into the document's text arena
+    if u32::try_from(input.len()).is_err() {
+        return Err(ParseError { offset: 0, message: "document larger than 4 GiB".into() });
+    }
+    let mut p = Parser { input, pos: 0 };
     let mut b = DocBuilder::new(uri);
     p.skip_ws();
     // prolog + misc

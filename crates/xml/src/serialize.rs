@@ -10,27 +10,32 @@ use crate::store::{Document, NodeKind};
 
 /// Escapes text content (`&`, `<`, `>`).
 pub fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    escape_runs(s, out, false);
 }
 
 /// Escapes attribute values (also `"`).
 pub fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
+    escape_runs(s, out, true);
+}
+
+/// Copies `s` into `out` one unescaped run at a time. Every special
+/// character is ASCII, so a byte scan never splits a UTF-8 sequence.
+fn escape_runs(s: &str, out: &mut String, quote: bool) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Serializes the subtree rooted at `idx` into `out`.
@@ -157,6 +162,36 @@ mod tests {
         let mut s = Store::new();
         let d = parse_document(&mut s, "<a><!--note--><?app run?></a>", None).unwrap();
         assert_eq!(serialize_document(s.doc(d), &s.names), "<a><!--note--><?app run?></a>");
+    }
+
+    /// The per-`char` escapers the run-based ones replaced.
+    fn escape_per_char(s: &str, quote: bool) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' if quote => out.push_str("&quot;"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn run_escapers_match_per_char_escaping() {
+        let alphabet = ['a', ' ', '&', '<', '>', '"', '\'', ';', 'ü', '中', '😀', '\n'];
+        let mut rng = xqd_prng::Rng::seed_from_u64(0x00E5_CA9E);
+        for _ in 0..2000 {
+            let len = rng.gen_range_usize(0..24);
+            let s: String = (0..len).map(|_| rng.choose(&alphabet)).collect();
+            let (mut text, mut attr) = (String::new(), String::new());
+            escape_text(&s, &mut text);
+            escape_attr(&s, &mut attr);
+            assert_eq!(text, escape_per_char(&s, false), "text {s:?}");
+            assert_eq!(attr, escape_per_char(&s, true), "attr {s:?}");
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub enum NodeKind {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// One arena slot. 24 bytes of fixed fields plus an optional text payload.
+/// One arena slot: 24 bytes, no heap payload of its own.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeRecord {
     pub kind: NodeKind,
@@ -66,8 +66,10 @@ pub(crate) struct NodeRecord {
     /// Preorder rank of the last node in this node's subtree (inclusive).
     /// Leaves (and attributes) have `subtree_end == own index`.
     pub subtree_end: u32,
-    /// Text content for text/comment/PI nodes and attribute values.
-    pub value: Option<Box<str>>,
+    /// Byte range of the node's value in its document's `text` arena:
+    /// the content of text/comment/PI nodes and attribute values; empty
+    /// for document and element nodes.
+    pub value: (u32, u32),
 }
 
 /// Extra per-node metadata attached by XRPC when a fragment is shredded from
@@ -83,6 +85,9 @@ pub struct NodeMeta {
 #[derive(Debug, Clone)]
 pub struct Document {
     pub(crate) nodes: Vec<NodeRecord>,
+    /// Every node value, back to back, so a document holds one text
+    /// allocation instead of one per node.
+    text: String,
     /// `fn:document-uri` of the document; `None` for constructed fragments.
     pub uri: Option<String>,
     /// Static base URI; defaults to `uri`.
@@ -114,7 +119,11 @@ impl Document {
     }
 
     pub fn value(&self, idx: u32) -> Option<&str> {
-        self.nodes[idx as usize].value.as_deref()
+        let rec = &self.nodes[idx as usize];
+        match rec.kind {
+            NodeKind::Document | NodeKind::Element => None,
+            _ => Some(&self.text[rec.value.0 as usize..rec.value.1 as usize]),
+        }
     }
 
     pub fn parent(&self, idx: u32) -> Option<u32> {
@@ -225,7 +234,7 @@ impl Document {
         let rec = &self.nodes[idx as usize];
         match rec.kind {
             NodeKind::Text | NodeKind::Comment | NodeKind::Pi | NodeKind::Attribute => {
-                rec.value.as_deref().unwrap_or("").to_string()
+                self.value(idx).unwrap_or("").to_string()
             }
             NodeKind::Document | NodeKind::Element => {
                 let mut out = String::new();
@@ -234,9 +243,7 @@ impl Document {
                 while i <= end {
                     let r = &self.nodes[i as usize];
                     if r.kind == NodeKind::Text {
-                        if let Some(v) = &r.value {
-                            out.push_str(v);
-                        }
+                        out.push_str(self.value(i).unwrap_or(""));
                     }
                     if r.kind == NodeKind::Attribute {
                         // attributes do not contribute to element string value
@@ -268,7 +275,7 @@ impl Document {
         let idref = names.get("idref");
         self.nodes.iter().enumerate().filter_map(move |(i, rec)| {
             if rec.kind == NodeKind::Attribute && Some(rec.name) == idref {
-                Some((i as u32, rec.value.as_deref().unwrap_or("")))
+                Some((i as u32, self.value(i as u32).unwrap_or("")))
             } else {
                 None
             }
@@ -331,7 +338,7 @@ impl Store {
     /// Attaches a finished builder, interning its local names into the
     /// store-wide table. Returns the new document's id.
     pub fn attach(&mut self, builder: DocBuilder) -> DocId {
-        let DocBuilder { mut nodes, local_names, uri, base_uri, open, .. } = builder;
+        let DocBuilder { mut nodes, mut text, local_names, uri, base_uri, open, .. } = builder;
         assert!(open.len() <= 1, "attach() called with unclosed elements");
         // Remap local name ids to store-wide ids.
         let remap: Vec<NameId> =
@@ -346,14 +353,21 @@ impl Store {
         if let Some(id_name) = id_name {
             for rec in &nodes {
                 if rec.kind == NodeKind::Attribute && rec.name == id_name {
-                    if let Some(v) = &rec.value {
-                        id_map.entry(v.clone()).or_insert(rec.parent);
-                    }
+                    let v = &text[rec.value.0 as usize..rec.value.1 as usize];
+                    id_map.entry(v.into()).or_insert(rec.parent);
                 }
             }
         }
-        let doc =
-            Document { nodes, uri: uri.clone(), base_uri, id_map, meta: HashMap::new(), name_index: None };
+        text.shrink_to_fit();
+        let doc = Document {
+            nodes,
+            text,
+            uri: uri.clone(),
+            base_uri,
+            id_map,
+            meta: HashMap::new(),
+            name_index: None,
+        };
         let id = DocId(self.docs.len() as u32);
         self.docs.push(doc);
         if let Some(u) = uri {
@@ -451,6 +465,8 @@ impl<'a> NodeRef<'a> {
 #[derive(Debug)]
 pub struct DocBuilder {
     nodes: Vec<NodeRecord>,
+    /// The text arena of the document under construction.
+    text: String,
     local_names: NameTable,
     /// Stack of open element indices.
     open: Vec<u32>,
@@ -465,6 +481,7 @@ impl DocBuilder {
     pub fn new(uri: Option<&str>) -> Self {
         let mut b = DocBuilder {
             nodes: Vec::new(),
+            text: String::new(),
             local_names: NameTable::new(),
             open: Vec::new(),
             uri: uri.map(str::to_string),
@@ -476,7 +493,7 @@ impl DocBuilder {
             name: NameId::NONE,
             parent: NO_PARENT,
             subtree_end: 0,
-            value: None,
+            value: (0, 0),
         });
         b.open.push(0);
         b
@@ -486,9 +503,16 @@ impl DocBuilder {
         self.base_uri = Some(base.to_string());
     }
 
-    fn push(&mut self, rec: NodeRecord) -> u32 {
+    /// Appends a node under the innermost open element, copying `value`
+    /// into the text arena. Leaves close at once; elements are closed by
+    /// [`DocBuilder::end_element`].
+    fn push(&mut self, kind: NodeKind, name: NameId, value: &str) -> u32 {
         let idx = self.nodes.len() as u32;
-        self.nodes.push(rec);
+        let start = self.text.len() as u32;
+        self.text.push_str(value);
+        let end = u32::try_from(self.text.len()).expect("a document's text stays under 4 GiB");
+        let parent = self.parent_idx();
+        self.nodes.push(NodeRecord { kind, name, parent, subtree_end: idx, value: (start, end) });
         idx
     }
 
@@ -499,14 +523,7 @@ impl DocBuilder {
     /// Opens an element.
     pub fn start_element(&mut self, name: &str) -> u32 {
         let name = self.local_names.intern(name);
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Element,
-            name,
-            parent,
-            subtree_end: 0,
-            value: None,
-        });
+        let idx = self.push(NodeKind::Element, name, "");
         self.open.push(idx);
         self.attrs_open = true;
         idx
@@ -520,16 +537,7 @@ impl DocBuilder {
             "attribute() must be called before child content of the element"
         );
         let name = self.local_names.intern(name);
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Attribute,
-            name,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        idx
+        self.push(NodeKind::Attribute, name, value)
     }
 
     /// Appends a text node (empty strings are dropped, per XDM).
@@ -538,45 +546,18 @@ impl DocBuilder {
             return None;
         }
         self.attrs_open = false;
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Text,
-            name: NameId::NONE,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        Some(idx)
+        Some(self.push(NodeKind::Text, NameId::NONE, value))
     }
 
     pub fn comment(&mut self, value: &str) -> u32 {
         self.attrs_open = false;
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Comment,
-            name: NameId::NONE,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        idx
+        self.push(NodeKind::Comment, NameId::NONE, value)
     }
 
     pub fn pi(&mut self, target: &str, value: &str) -> u32 {
         self.attrs_open = false;
         let name = self.local_names.intern(target);
-        let parent = self.parent_idx();
-        let idx = self.push(NodeRecord {
-            kind: NodeKind::Pi,
-            name,
-            parent,
-            subtree_end: 0,
-            value: Some(value.into()),
-        });
-        self.nodes[idx as usize].subtree_end = idx;
-        idx
+        self.push(NodeKind::Pi, name, value)
     }
 
     /// Closes the innermost element, fixing its `subtree_end`.

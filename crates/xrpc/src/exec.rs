@@ -69,7 +69,7 @@ use crate::health::{
 };
 use crate::message::{
     decode_doc_request, decode_fault, decode_request, decode_response, encode_doc_response,
-    encode_fault, encode_request, encode_response, WireSemantics,
+    encode_fault, encode_request, encode_response, is_fault_reply, WireSemantics,
 };
 use crate::net::{Fault, FaultPlan, Metrics, NetworkModel, XrpcError};
 use crate::trace::{SpanBuilder, Trace, Tracer, ROOT_SPAN};
@@ -1291,10 +1291,7 @@ impl Transport for SimTransport {
                     .and_then(|(_, name)| p.store.doc_by_uri(name))
             });
             let reply = match found {
-                Some(id) => encode_doc_response(
-                    &uri,
-                    &xqd_xml::serialize_document(p.store.doc(id), &p.store.names),
-                ),
+                Some(id) => encode_doc_response(&uri, &p.store, id),
                 None => encode_fault(&XrpcError::RemoteFault {
                     peer: peer.to_string(),
                     code: "xrpc:document-not-found".to_string(),
@@ -2067,9 +2064,9 @@ fn transport_call(
             chain += spent;
 
             // a wire-encoded fault response decodes back into its typed
-            // error (normal responses have an env/response child, never
-            // env/fault, so this cannot misfire on result data)
-            if response.contains("<fault ") {
+            // error (the test is on the envelope prefix, so result data
+            // or a shipped document holding a <fault> element never is one)
+            if is_fault_reply(&response) {
                 if let Some(e) = decode_fault(&response) {
                     break 'attempt Err(e);
                 }

@@ -725,6 +725,12 @@ pub fn encode_fault(err: &XrpcError) -> String {
     out
 }
 
+/// True when `message` starts as [`encode_fault`] always writes; a reply
+/// that merely contains a `<fault …>` element is not a fault.
+pub(crate) fn is_fault_reply(message: &str) -> bool {
+    message.starts_with("<env><fault ")
+}
+
 /// Decodes a fault response, if `message` is one. Returns `None` for
 /// non-fault messages *and* for byte streams too mangled to parse — the
 /// caller treats those as transport corruption.
@@ -778,28 +784,26 @@ pub fn decode_doc_request(message: &str) -> Option<String> {
     attr(&scratch, req, "uri")
 }
 
-/// Encodes a fetched document as a reply envelope. The serialized document
-/// travels as escaped text so the envelope stays parseable regardless of
-/// the payload's own markup.
-pub fn encode_doc_response(uri: &str, xml: &str) -> String {
-    let mut out = String::with_capacity(64 + uri.len() + xml.len());
+/// Encodes document `id` of `store` as a doc reply: fixed envelope bytes
+/// around the document serialized as raw markup, so the receiver parses it
+/// exactly once (`<env><doc uri="…">…document…</doc></env>`).
+pub fn encode_doc_response(uri: &str, store: &Store, id: DocId) -> String {
+    let mut out = String::with_capacity(64 + uri.len());
     out.push_str("<env><doc uri=\"");
     escape_attr(uri, &mut out);
     out.push_str("\">");
-    escape_text(xml, &mut out);
+    serialize_node_into(store.doc(id), &store.names, 0, &mut out);
     out.push_str("</doc></env>");
     out
 }
 
-/// Decodes a doc reply envelope back into the document's XML text. Returns
-/// `None` for non-doc messages and unparseable bytes — the caller treats
-/// those as transport corruption (after checking [`decode_fault`] first).
+/// Strips a doc reply's fixed envelope and returns the document's XML text;
+/// `None` for any other message shape. The caller's one parse of the body
+/// is its well-formedness check.
 pub fn decode_doc_response(message: &str) -> Option<String> {
-    let mut scratch = Store::new();
-    let doc = xqd_xml::parse_document(&mut scratch, message, None).ok()?;
-    let d = find_child(&scratch, NodeId::new(doc, 0), "env")
-        .and_then(|env| find_child(&scratch, env, "doc"))?;
-    Some(scratch.doc(d.doc).string_value(d.idx))
+    let rest = message.strip_prefix("<env><doc uri=\"")?.strip_suffix("</doc></env>")?;
+    // the URI is attribute-escaped, so the first `">` ends the start tag
+    rest.split_once("\">").map(|(_, body)| body.to_string())
 }
 
 /// A decoded request, with all node values shredded into the receiving

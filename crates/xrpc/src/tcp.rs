@@ -306,15 +306,16 @@ impl DocResolver for SockLink {
             .core
             .call_ladder(uri, hosts, &request, &retry, seed)
             .map_err(EvalError::from)?;
-        let xml = decode_doc_response(&reply).ok_or_else(|| {
-            EvalError::from(XrpcError::TransportCorrupt {
-                peer: uri.to_string(),
-                detail: format!("doc reply for {uri} is not a doc envelope"),
-            })
-        })?;
+        // the one parse of the shipped document is its well-formedness
+        // check: a bad envelope and a bad body are both corruption
+        let corrupt = |detail: String| {
+            EvalError::from(XrpcError::TransportCorrupt { peer: uri.to_string(), detail })
+        };
+        let xml = decode_doc_response(&reply)
+            .ok_or_else(|| corrupt(format!("doc reply for {uri} is not a doc envelope")))?;
         self.core.doc_fetches.fetch_add(1, Ordering::Relaxed);
         xqd_xml::parse_document(store, &xml, Some(uri))
-            .map_err(|e| EvalError::new(format!("shipped document {uri} failed to parse: {e}")))
+            .map_err(|e| corrupt(format!("shipped document {uri} failed to parse: {e}")))
     }
 }
 

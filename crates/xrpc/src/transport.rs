@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec::RetryPolicy;
 use crate::health::seeded_fraction;
-use crate::message::decode_fault;
+use crate::message::{decode_fault, is_fault_reply};
 use crate::net::XrpcError;
 
 /// Hard cap on a frame's declared payload length. A peer declaring more is
@@ -177,22 +177,6 @@ pub trait Transport: Send + Sync {
     /// Ships `request` to `peer` and returns the reply envelope, spending
     /// at most `budget` wall clock on this one attempt.
     fn exchange(&self, peer: &str, request: &str, budget: Duration) -> Result<String, XrpcError>;
-
-    /// Fetches the serialized document `uri` from `host` (the data-shipping
-    /// path). The default implementation rides on [`Transport::exchange`]
-    /// with a doc-request envelope.
-    fn fetch_doc(&self, host: &str, uri: &str, budget: Duration) -> Result<String, XrpcError> {
-        let reply = self.exchange(host, &crate::message::encode_doc_request(uri), budget)?;
-        if reply.contains("<fault ") {
-            if let Some(e) = decode_fault(&reply) {
-                return Err(e);
-            }
-        }
-        crate::message::decode_doc_response(&reply).ok_or_else(|| XrpcError::TransportCorrupt {
-            peer: host.to_string(),
-            detail: format!("doc reply for {uri} is not a doc envelope"),
-        })
-    }
 }
 
 /// Outcome of one retried logical call: failed attempts (for the health
@@ -232,7 +216,7 @@ pub fn call_with_retry(
             };
         }
         let attempt = match transport.exchange(peer, request, budget) {
-            Ok(reply) if reply.contains("<fault ") => match decode_fault(&reply) {
+            Ok(reply) if is_fault_reply(&reply) => match decode_fault(&reply) {
                 Some(e) => Err(e),
                 None => Ok(reply),
             },

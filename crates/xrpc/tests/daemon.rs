@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 
 use xqd_core::Strategy;
 use xqd_xrpc::{
-    decode_doc_response, decode_fault, encode_doc_request, read_frame, write_frame, ExecOptions,
-    Federation, NetworkModel, PeerServer, RetryPolicy, ServerConfig, SocketFederation,
-    XrpcError, MAX_FRAME_LEN,
+    decode_doc_response, decode_fault, encode_doc_request, read_frame, write_frame, Federation,
+    NetworkModel, PeerServer, RetryPolicy, ServerConfig, SocketFederation, XrpcError,
+    MAX_FRAME_LEN,
 };
 
 const PEOPLE: &str = r#"<people><person id="p1"><age>31</age></person><person id="p2"><age>55</age></person><person id="p3"><age>24</age></person></people>"#;
@@ -112,6 +112,33 @@ fn doc_request_over_raw_socket_ships_the_document() {
         .expect("doc reply frame");
     let xml = decode_doc_response(&reply).expect("doc envelope");
     assert!(xml.contains("person"), "shipped document lost content: {xml}");
+}
+
+/// A document whose own markup looks like a wire envelope, `<fault …>`
+/// element included, ships as a document: only a reply that *starts* as a
+/// fault envelope is one.
+#[test]
+fn fault_shaped_document_ships_as_a_document() {
+    const FAULTY: &str =
+        r#"<env><doc><fault code="xrpc:timeout" peer="P1"><message>kept</message></fault></doc></env>"#;
+    let query = r#"string(doc("xrpc://P1/faulty.xml")//fault/message)"#;
+    let mut sim = Federation::new(NetworkModel::lan());
+    sim.load_document("P1", "faulty.xml", FAULTY).unwrap();
+    let expected = sim.run(query, Strategy::DataShipping).expect("simulated run");
+
+    let mut p1 = PeerServer::bind("P1", "127.0.0.1:0", ServerConfig::default()).unwrap();
+    p1.load_document("faulty.xml", FAULTY).unwrap();
+    p1.start();
+    let mut stream = TcpStream::connect(p1.addr()).unwrap();
+    let reply = raw_exchange(&mut stream, &encode_doc_request("xrpc://P1/faulty.xml"))
+        .expect("doc reply frame");
+    assert!(decode_fault(&reply).is_none(), "document read as a fault: {reply}");
+    assert_eq!(decode_doc_response(&reply).as_deref(), Some(FAULTY));
+
+    let mut fed = socket_fed(&[&p1]);
+    let got = fed.run(query, Strategy::DataShipping).expect("document, not a typed error");
+    assert_eq!(got.result, expected.result);
+    assert_eq!(got.doc_fetches, 1, "the document must be data-shipped");
 }
 
 // ---------------------------------------------------------------------------

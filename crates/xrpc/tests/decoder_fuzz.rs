@@ -1,9 +1,10 @@
 //! Decoder robustness under hostile bytes: seeded `xqd-prng` mutations of
 //! valid wire messages must make `decode_request` / `decode_response` /
-//! `decode_fault` return an error (or, for semantics-preserving byte
-//! flips, any non-panicking outcome) — never panic, across all three wire
-//! semantics. Truncation anywhere strictly inside the message must always
-//! be *detected*: the envelope's closing bytes are gone.
+//! `decode_fault` / `decode_doc_request` / `decode_doc_response` return an
+//! error (or, for semantics-preserving byte flips, any non-panicking
+//! outcome) — never panic, across all three wire semantics. Truncation
+//! anywhere strictly inside the message must always be *detected*: the
+//! envelope's closing bytes are gone.
 //!
 //! The second half fuzzes the length-prefixed socket framing underneath
 //! the decoders: truncated prefixes, oversized declared lengths, mid-frame
@@ -29,9 +30,12 @@ use std::io::Cursor;
 use std::time::Duration;
 
 use xqd_xrpc::{
-    decode_fault, decode_request, decode_response, encode_fault, encode_request, encode_response,
+    decode_doc_request, decode_doc_response, decode_fault, decode_request, decode_response,
+    encode_doc_request, encode_doc_response, encode_fault, encode_request, encode_response,
     read_frame, write_frame, FrameError, WireSemantics, XrpcError, MAX_FRAME_LEN,
 };
+
+const DOC_URI: &str = "xrpc://p/d.xml";
 
 const SEMANTICS: [WireSemantics; 3] =
     [WireSemantics::Value, WireSemantics::Fragment, WireSemantics::Projection];
@@ -43,7 +47,7 @@ fn fixture() -> (Store, Sequence) {
     xqd_xml::parse_document(
         &mut store,
         "<a id=\"1\"><b><c>text &amp; more</c></b><b/></a>",
-        Some("xrpc://p/d.xml"),
+        Some(DOC_URI),
     )
     .unwrap();
     let module = parse_query("doc(\"xrpc://p/d.xml\")//b").unwrap();
@@ -76,7 +80,27 @@ fn valid_messages() -> Vec<String> {
         peer: "p".to_string(),
         detail: "detail with <angle> & \"quotes\"".to_string(),
     }));
+    messages.push(encode_doc_request(DOC_URI));
+    messages.extend(doc_replies());
     messages
+}
+
+/// Doc replies for the fixture document and for a document whose own
+/// markup is a doc envelope, so a prefix can end in the envelope's suffix.
+fn doc_replies() -> Vec<String> {
+    let (store, _) = fixture();
+    let fixture_doc = store.doc_by_uri(DOC_URI).unwrap();
+    let mut nested = Store::new();
+    let nested_doc = xqd_xml::parse_document(
+        &mut nested,
+        "<env><doc uri=\"x\">ü &amp; <fault code=\"c\"/></doc></env>",
+        Some(DOC_URI),
+    )
+    .unwrap();
+    vec![
+        encode_doc_response(DOC_URI, &store, fixture_doc),
+        encode_doc_response(DOC_URI, &nested, nested_doc),
+    ]
 }
 
 fn char_floor(s: &str, pos: usize) -> usize {
@@ -96,7 +120,32 @@ fn decode_all(mutant: &str) -> bool {
     let mut store = Store::new();
     accepted |= decode_response(&mut store, mutant).is_ok();
     accepted |= decode_fault(mutant).is_some();
+    accepted |= decode_doc_request(mutant).is_some();
+    // a doc reply is accepted when its body also parses, as on the wire
+    if let Some(xml) = decode_doc_response(mutant) {
+        accepted |= xqd_xml::parse_document(&mut Store::new(), &xml, None).is_ok();
+    }
     accepted
+}
+
+#[test]
+fn every_strict_prefix_of_a_doc_reply_is_rejected() {
+    let mut envelope_shaped = 0;
+    for reply in doc_replies() {
+        let xml = decode_doc_response(&reply).expect("whole reply decodes");
+        assert!(xqd_xml::parse_document(&mut Store::new(), &xml, None).is_ok());
+        for cut in (0..reply.len()).filter(|&c| reply.is_char_boundary(c)) {
+            if let Some(body) = decode_doc_response(&reply[..cut]) {
+                envelope_shaped += 1;
+                assert!(
+                    xqd_xml::parse_document(&mut Store::new(), &body, None).is_err(),
+                    "prefix of {} bytes accepted: {body:?}",
+                    cut
+                );
+            }
+        }
+    }
+    assert!(envelope_shaped > 0, "no prefix ended in the envelope's closing bytes");
 }
 
 #[test]
