@@ -29,15 +29,15 @@ if grep -q '"results_identical": false' target/BENCH_paths.ci.json; then
 fi
 
 echo "== plans bench smoke (small N, offline) =="
-# Small-scale run of the plan-compilation bench into a scratch path (the
+# Small-scale run of the plan-cache bench into a scratch path (the
 # committed BENCH_plans.json is the full-scale artifact). Every emitted
-# point must report compiled execution bit-identical to the interpreter —
+# point must report a warm-cache run bit-identical to an uncached one —
 # results and wire bytes both.
 cargo run --release --offline --example plans_bench -- --small --out target/BENCH_plans.ci.json
 grep -q '"results_identical": true' target/BENCH_plans.ci.json
 grep -q '"bytes_identical": true' target/BENCH_plans.ci.json
 if grep -q 'identical": false' target/BENCH_plans.ci.json; then
-    echo "plans bench: compiled and interpreted execution diverged" >&2
+    echo "plans bench: warm-cache and uncached execution diverged" >&2
     exit 1
 fi
 # Tracing overhead budget: a traced warm run must stay within 3% (plus a
@@ -52,7 +52,8 @@ echo "== joins bench smoke (small N, offline) =="
 # Small-scale run of the semi-join bench into a scratch path (the
 # committed BENCH_joins.json is the full-scale artifact). Every emitted
 # point must report the semi-join result identical to the paper baseline
-# and the off-toggle wire byte-identical to the interpreter oracle.
+# and, with the semi-join off, a warm-cache wire byte-identical to an
+# uncached one.
 cargo run --release --offline --example joins_bench -- --small --out target/BENCH_joins.ci.json
 grep -q '"results_identical": true' target/BENCH_joins.ci.json
 grep -q '"bytes_identical": true' target/BENCH_joins.ci.json

@@ -267,7 +267,7 @@ fn build(
     scope: &mut Vec<(String, VertexId)>,
 ) -> Result<VertexId, EvalError> {
     Ok(match e {
-        Expr::Literal(a) => g.push(Rule::Literal(a.clone()), vec![]),
+        Expr::Literal(a) => g.push(Rule::Literal(a.atom().clone()), vec![]),
         Expr::Empty => g.push(Rule::Empty, vec![]),
         Expr::Sequence(es) => {
             let kids = es
@@ -438,7 +438,7 @@ fn build(
 pub fn extract_expr(g: &DGraph, id: VertexId) -> Expr {
     let v = g.vertex(id);
     match &v.rule {
-        Rule::Literal(a) => Expr::Literal(a.clone()),
+        Rule::Literal(a) => Expr::literal(a.clone()),
         Rule::Empty => Expr::Empty,
         Rule::ExprSeq => {
             Expr::Sequence(v.children.iter().map(|&c| extract_expr(g, c)).collect())

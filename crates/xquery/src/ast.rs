@@ -11,6 +11,8 @@ use std::fmt;
 
 use xqd_xml::Axis;
 
+use crate::value::{Item, Sequence};
+
 /// Atomic values (`xs:string`, `xs:integer`, `xs:double`, `xs:boolean`, and
 /// untyped atomics produced by atomizing nodes).
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +44,54 @@ impl Atomic {
             }
             Atomic::Bool(b) => b.to_string(),
         }
+    }
+}
+
+/// A literal together with its singleton result sequence, built once when
+/// the node is made. Evaluating the literal is an `Arc` clone of that one
+/// allocation, so every evaluation hands out the same sequence — which is
+/// how [`crate::value::CompareMemo`] recognises a literal operand across
+/// loop iterations.
+#[derive(Clone)]
+pub struct Literal(Sequence);
+
+impl Literal {
+    pub fn new(a: Atomic) -> Literal {
+        Literal(Sequence::unit(Item::Atom(a)))
+    }
+
+    pub fn atom(&self) -> &Atomic {
+        match self.0.as_slice() {
+            [Item::Atom(a)] => a,
+            _ => unreachable!("a literal holds exactly one atomic"),
+        }
+    }
+
+    /// The prebuilt singleton sequence.
+    pub fn sequence(&self) -> &Sequence {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Literal {
+    type Target = Atomic;
+
+    fn deref(&self) -> &Atomic {
+        self.atom()
+    }
+}
+
+impl PartialEq for Literal {
+    fn eq(&self, other: &Literal) -> bool {
+        self.atom() == other.atom()
+    }
+}
+
+// Debug reads as the bare atomic: the sequence is a prebuilt copy of it,
+// not part of the literal's value.
+impl fmt::Debug for Literal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.atom(), f)
     }
 }
 
@@ -264,7 +314,7 @@ pub struct OrderSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Rule 3: Literal.
-    Literal(Atomic),
+    Literal(Literal),
     /// `()`.
     Empty,
     /// Rule 2: ExprSeq with at least two members after parsing.
@@ -426,13 +476,17 @@ impl Expr {
         Box::new(self)
     }
 
+    pub fn literal(a: Atomic) -> Expr {
+        Expr::Literal(Literal::new(a))
+    }
+
     /// Convenience constructor for string literals.
     pub fn str(s: &str) -> Expr {
-        Expr::Literal(Atomic::Str(s.to_string()))
+        Expr::literal(Atomic::Str(s.to_string()))
     }
 
     pub fn int(i: i64) -> Expr {
-        Expr::Literal(Atomic::Int(i))
+        Expr::literal(Atomic::Int(i))
     }
 
     /// `fn:doc("uri")`.
@@ -443,68 +497,73 @@ impl Expr {
     /// Visits this expression and all sub-expressions, pre-order.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
+        self.for_each_child(&mut |c| c.walk(f));
+    }
+
+    /// Visits the direct sub-expressions, in [`Expr::walk`] order.
+    pub fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         match self {
             Expr::Literal(_) | Expr::Empty | Expr::VarRef(_) | Expr::ContextItem => {}
-            Expr::Sequence(es) => es.iter().for_each(|e| e.walk(f)),
+            Expr::Sequence(es) => es.iter().for_each(f),
             Expr::For { seq, ret, .. } => {
-                seq.walk(f);
-                ret.walk(f);
+                f(seq);
+                f(ret);
             }
             Expr::Let { value, ret, .. } => {
-                value.walk(f);
-                ret.walk(f);
+                f(value);
+                f(ret);
             }
             Expr::If { cond, then, els } => {
-                cond.walk(f);
-                then.walk(f);
-                els.walk(f);
+                f(cond);
+                f(then);
+                f(els);
             }
             Expr::Typeswitch { input, cases, default, .. } => {
-                input.walk(f);
-                cases.iter().for_each(|c| c.body.walk(f));
-                default.walk(f);
+                f(input);
+                cases.iter().for_each(|c| f(&c.body));
+                f(default);
             }
             Expr::Comparison { lhs, rhs, .. }
             | Expr::NodeComparison { lhs, rhs, .. }
             | Expr::NodeSet { lhs, rhs, .. }
             | Expr::Arith { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
+                f(lhs);
+                f(rhs);
             }
             Expr::OrderBy { input, specs } => {
-                input.walk(f);
-                specs.iter().for_each(|s| s.key.walk(f));
+                f(input);
+                specs.iter().for_each(|s| f(&s.key));
             }
             Expr::Construct(c) => match c {
                 Constructor::Document { content } | Constructor::Text { content } => {
-                    content.walk(f)
+                    f(content)
                 }
                 Constructor::Element { name, content }
                 | Constructor::Attribute { name, content } => {
                     if let ElemName::Computed(e) = name {
-                        e.walk(f);
+                        f(e);
                     }
-                    content.walk(f);
+                    f(content);
                 }
             },
             Expr::Path { start, steps } => {
                 if let Some(s) = start {
-                    s.walk(f);
+                    f(s);
                 }
-                steps.iter().for_each(|st| st.predicates.iter().for_each(|p| p.walk(f)));
+                steps.iter().for_each(|st| st.predicates.iter().for_each(&mut *f));
             }
             Expr::Filter { input, predicate } => {
-                input.walk(f);
-                predicate.walk(f);
+                f(input);
+                f(predicate);
             }
-            Expr::FunCall { args, .. } => args.iter().for_each(|a| a.walk(f)),
+            Expr::FunCall { args, .. } => args.iter().for_each(f),
             Expr::And(l, r) | Expr::Or(l, r) => {
-                l.walk(f);
-                r.walk(f);
+                f(l);
+                f(r);
             }
             Expr::Execute { peer, body, .. } => {
-                peer.walk(f);
-                body.walk(f);
+                f(peer);
+                f(body);
             }
         }
     }
@@ -527,7 +586,7 @@ impl fmt::Display for Expr {
 /// Serializes an expression to parseable XQuery text.
 pub fn print_expr(e: &Expr, out: &mut String) {
     match e {
-        Expr::Literal(a) => match a {
+        Expr::Literal(a) => match a.atom() {
             Atomic::Str(s) | Atomic::Untyped(s) => {
                 out.push('"');
                 for c in s.chars() {

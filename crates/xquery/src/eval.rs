@@ -10,10 +10,12 @@
 //! the receiving store.
 
 use xqd_xml::axes::{axis_nodes, node_test_matches, NodeTest};
+use xqd_xml::name::{NameId, NameTable};
 use xqd_xml::{index, Axis, DocBuilder, DocId, NodeId, NodeKind, Store};
 
 use crate::ast::*;
 use crate::builtins;
+use crate::profile::ProfileHook;
 use crate::value::*;
 
 /// Static context attributes shipped in XRPC message headers (Problem 5
@@ -121,37 +123,65 @@ pub trait RemoteHandler {
     }
 }
 
-pub(crate) const MAX_CALL_DEPTH: usize = 128;
+const MAX_CALL_DEPTH: usize = 128;
+
+/// Entries [`NameMemo`] keeps before it falls back to the name table.
+const NAME_MEMO_CAP: usize = 32;
+
+/// Step QNames already resolved to the store's interned ids, so a step
+/// evaluated once per loop iteration hashes its name once per evaluator.
+/// An entry is found by the address of the name's text in the AST and
+/// confirmed against the text itself. Only hits are kept: a name the store
+/// lacks is probed again on every use, because a constructor can intern it
+/// later in the same run. Past [`NAME_MEMO_CAP`] entries, lookups go to
+/// the table.
+#[derive(Default)]
+struct NameMemo(Vec<(usize, Box<str>, NameId)>);
+
+impl NameMemo {
+    fn resolve(&mut self, names: &NameTable, name: &str) -> Option<NameId> {
+        let addr = name.as_ptr() as usize;
+        if let Some(&(_, _, id)) = self.0.iter().find(|(a, n, _)| *a == addr && **n == *name) {
+            return Some(id);
+        }
+        let id = names.get(name)?;
+        if self.0.len() < NAME_MEMO_CAP {
+            self.0.push((addr, name.into(), id));
+        }
+        Some(id)
+    }
+}
 
 /// The evaluator. Owns no data; borrows the store and hooks.
-///
-/// The `pub(crate)` fields are shared with the compiled-plan engine
-/// ([`crate::compile`]), which drives the same environment, context stack
-/// and scratch buffers so the two engines cannot diverge in their
-/// book-keeping.
 pub struct Evaluator<'a> {
     pub store: &'a mut Store,
     pub functions: &'a [FunctionDef],
     pub resolver: &'a mut dyn DocResolver,
     pub remote: Option<&'a mut dyn RemoteHandler>,
     pub static_ctx: StaticContext,
-    pub(crate) env: Vec<(String, Sequence)>,
-    pub(crate) context: Vec<Item>,
-    pub(crate) call_depth: usize,
+    env: Vec<(String, Sequence)>,
+    context: Vec<Item>,
+    call_depth: usize,
     /// Answer eligible axis steps from the per-document name indexes
     /// (staircase join) instead of arena scans. Results are bit-identical
     /// either way; the toggle exists so equivalence tests and the `paths`
     /// bench can compare the two engines.
-    pub(crate) use_indexes: bool,
+    use_indexes: bool,
     /// Scratch rank buffer reused across `axis_nodes` / staircase calls so
     /// path evaluation doesn't allocate a fresh `Vec` per step.
-    pub(crate) scratch: Vec<u32>,
-    /// Per-op profiling hook for the compiled engine (`EXPLAIN ANALYZE`);
-    /// `None` on ordinary runs, leaving only a branch on the dispatch path.
-    pub(crate) profile: Option<crate::compile::ProfileHook>,
+    scratch: Vec<u32>,
+    /// Per-node profiling hook (`EXPLAIN ANALYZE`); `None` on ordinary
+    /// runs, leaving only a branch on the dispatch path.
+    profile: Option<ProfileHook>,
     /// Keysets atomized for hash-probed `=`; lives and dies with this
     /// evaluator, so nothing outlasts the request.
     compare_memo: CompareMemo,
+    /// Step QNames already resolved against `store`.
+    names: NameMemo,
+    /// The one `()` every evaluation of an `Expr::Empty` hands out, so an
+    /// empty `else` branch in a loop costs an `Arc` clone, not an
+    /// allocation.
+    empty: Sequence,
 }
 
 impl<'a> Evaluator<'a> {
@@ -173,6 +203,8 @@ impl<'a> Evaluator<'a> {
             scratch: Vec::new(),
             profile: None,
             compare_memo: CompareMemo::default(),
+            names: NameMemo::default(),
+            empty: Sequence::new(),
         }
     }
 
@@ -192,9 +224,9 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Attaches a per-op execution profile (compiled-plan runs only — the
-    /// interpreter has no ops to attribute to).
-    pub fn with_profile(mut self, hook: crate::compile::ProfileHook) -> Self {
+    /// Attaches a per-node execution profile; only evaluations of the tree
+    /// the hook was built over are counted.
+    pub fn with_profile(mut self, hook: ProfileHook) -> Self {
         self.profile = Some(hook);
         self
     }
@@ -204,7 +236,7 @@ impl<'a> Evaluator<'a> {
         self.env.push((name.to_string(), value));
     }
 
-    pub(crate) fn lookup(&self, name: &str) -> EvalResult<Sequence> {
+    fn lookup(&self, name: &str) -> EvalResult<Sequence> {
         self.env
             .iter()
             .rev()
@@ -213,18 +245,7 @@ impl<'a> Evaluator<'a> {
             .ok_or_else(|| EvalError::new(format!("unbound variable ${name}")))
     }
 
-    /// General comparison for both engines, hash-probed through the
-    /// request's [`CompareMemo`] where that gives the same answer.
-    pub(crate) fn general_compare(
-        &mut self,
-        op: CompOp,
-        l: &Sequence,
-        r: &Sequence,
-    ) -> EvalResult<bool> {
-        self.compare_memo.general_compare(self.store, op, l, r)
-    }
-
-    pub(crate) fn context_item(&self) -> EvalResult<Item> {
+    fn context_item(&self) -> EvalResult<Item> {
         self.context
             .last()
             .cloned()
@@ -232,10 +253,27 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates an expression to a sequence.
+    #[inline]
     pub fn eval(&mut self, e: &Expr) -> EvalResult {
+        match &self.profile {
+            None => self.eval_expr(e),
+            Some(hook) => match hook.node(e) {
+                None => self.eval_expr(e),
+                Some(node) => {
+                    let hook = hook.clone();
+                    hook.enter(node);
+                    let result = self.eval_expr(e);
+                    hook.exit(node, result.as_ref().ok().map(|seq| seq.len() as u64));
+                    result
+                }
+            },
+        }
+    }
+
+    fn eval_expr(&mut self, e: &Expr) -> EvalResult {
         match e {
-            Expr::Literal(a) => Ok(Sequence::unit(Item::Atom(a.clone()))),
-            Expr::Empty => Ok(Sequence::new()),
+            Expr::Literal(l) => Ok(l.sequence().clone()),
+            Expr::Empty => Ok(self.empty.clone()),
             Expr::Sequence(es) => {
                 // scatter point: ≥2 sibling remote calls to ≥2 distinct
                 // peers are independent by construction (sequence elements
@@ -312,7 +350,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::Comparison { op, lhs, rhs } => {
                 let (l, r) = self.eval_operand_pair(lhs, rhs)?;
-                let b = self.general_compare(*op, &l, &r)?;
+                let b = self.compare_memo.general_compare(self.store, *op, &l, &r)?;
                 Ok(Sequence::unit(Item::Atom(Atomic::Bool(b))))
             }
             Expr::NodeComparison { op, lhs, rhs } => {
@@ -582,7 +620,7 @@ impl<'a> Evaluator<'a> {
     /// and deduplicated, then resolved with staircase interval lookups; the
     /// final cross-document `sort_document_order` matches the scan path's
     /// post-step normalization exactly.
-    pub(crate) fn indexed_named_step(
+    fn indexed_named_step(
         &mut self,
         current: &Sequence,
         axis: Axis,
@@ -592,7 +630,7 @@ impl<'a> Evaluator<'a> {
         if current.iter().any(|i| matches!(i, Item::Atom(_))) {
             return Err(EvalError::new("axis step applied to an atomic value"));
         }
-        let Some(name_id) = self.store.names.get(name) else {
+        let Some(name_id) = self.names.resolve(&self.store.names, name) else {
             // QName not interned in this store: matches nothing (scan path
             // reaches the same result via `NodeTest::UnknownName`).
             return Ok(Some(Sequence::new()));
@@ -601,13 +639,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The staircase lookup proper, after the context has been checked for
-    /// atomics and the QName resolved to an interned id. Compiled plans call
-    /// this directly with their pre-resolved [`xqd_xml::name::NameId`]s.
-    pub(crate) fn staircase_named(
+    /// atomics and the QName resolved to an interned id.
+    fn staircase_named(
         &mut self,
         current: &Sequence,
         axis: Axis,
-        name_id: xqd_xml::name::NameId,
+        name_id: NameId,
     ) -> EvalResult<Sequence> {
         let mut by_doc: Vec<(DocId, Vec<u32>)> = Vec::new();
         for item in current.iter() {
@@ -647,17 +684,16 @@ impl<'a> Evaluator<'a> {
 
     /// Applies one step (axis + test + predicates) to one context node.
     fn step_candidates(&mut self, node: NodeId, step: &Step) -> EvalResult<Vec<Item>> {
-        let test = {
-            let names = &self.store.names;
-            match &step.test {
-                NameTest::Name(n) => {
-                    names.get(n).map(NodeTest::Name).unwrap_or(NodeTest::UnknownName)
-                }
-                NameTest::Wildcard => NodeTest::Wildcard,
-                NameTest::AnyKind => NodeTest::AnyKind,
-                NameTest::Text => NodeTest::Text,
-                NameTest::Comment => NodeTest::Comment,
-            }
+        let test = match &step.test {
+            NameTest::Name(n) => self
+                .names
+                .resolve(&self.store.names, n)
+                .map(NodeTest::Name)
+                .unwrap_or(NodeTest::UnknownName),
+            NameTest::Wildcard => NodeTest::Wildcard,
+            NameTest::AnyKind => NodeTest::AnyKind,
+            NameTest::Text => NodeTest::Text,
+            NameTest::Comment => NodeTest::Comment,
         };
         let mut raw = Vec::new();
         let mut reached = std::mem::take(&mut self.scratch);
@@ -713,12 +749,11 @@ impl<'a> Evaluator<'a> {
         if let Some(result) = builtins::eval_builtin(self, name, &arg_values)? {
             return Ok(result);
         }
-        // user-defined function
-        let func = self
-            .functions
+        // user-defined function, borrowed for the evaluator's lifetime
+        let functions = self.functions;
+        let func = functions
             .iter()
             .find(|f| f.name == name)
-            .cloned()
             .ok_or_else(|| EvalError::new(format!("unknown function {name}()")))?;
         if func.params.len() != arg_values.len() {
             return Err(EvalError::new(format!(
@@ -813,7 +848,7 @@ impl<'a> Evaluator<'a> {
     /// XQuery content semantics: attribute items first (become attributes of
     /// the enclosing element), nodes are deep-copied, adjacent atomics join
     /// with single spaces into one text node.
-    pub(crate) fn append_content(&mut self, b: &mut DocBuilder, content: &[Item]) -> EvalResult<()> {
+    fn append_content(&mut self, b: &mut DocBuilder, content: &[Item]) -> EvalResult<()> {
         let mut pending_text: Option<String> = None;
         let mut seen_child = false;
         for item in content {
@@ -859,15 +894,15 @@ impl<'a> Evaluator<'a> {
 
 /// A `for`-return clause amenable to Bulk RPC: a chain of local `let`s
 /// ending in an `Execute` with a literal peer.
-pub(crate) struct BulkPlan<'a> {
-    pub(crate) lets: Vec<(&'a str, &'a Expr)>,
-    pub(crate) peer: String,
-    pub(crate) params: &'a [XrpcParam],
-    pub(crate) body: &'a Expr,
-    pub(crate) projection: Option<&'a ExecProjection>,
+struct BulkPlan<'a> {
+    lets: Vec<(&'a str, &'a Expr)>,
+    peer: String,
+    params: &'a [XrpcParam],
+    body: &'a Expr,
+    projection: Option<&'a ExecProjection>,
 }
 
-pub(crate) fn bulk_pattern(ret: &Expr) -> Option<BulkPlan<'_>> {
+fn bulk_pattern(ret: &Expr) -> Option<BulkPlan<'_>> {
     let mut lets = Vec::new();
     let mut cur = ret;
     loop {
@@ -897,7 +932,7 @@ pub(crate) fn bulk_pattern(ret: &Expr) -> Option<BulkPlan<'_>> {
 /// `Execute` expressions with a literal peer. Engages only when at least two
 /// such calls target at least two distinct peers — otherwise there is
 /// nothing to overlap.
-pub(crate) fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
+fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
     let mut idxs = Vec::new();
     let mut peers = Vec::new();
     for (i, e) in es.iter().enumerate() {
@@ -915,7 +950,7 @@ pub(crate) fn sequence_scatter(es: &[Expr]) -> Option<Vec<usize>> {
 }
 
 /// The literal peer of an `Execute` eligible for scattering, if any.
-pub(crate) fn scatter_exec_peer(e: &Expr) -> Option<String> {
+fn scatter_exec_peer(e: &Expr) -> Option<String> {
     if let Expr::Execute { peer, .. } = e {
         if let Expr::Literal(a) = peer.as_ref() {
             return Some(a.to_lexical());
@@ -928,7 +963,7 @@ pub(crate) fn scatter_exec_peer(e: &Expr) -> Option<String> {
 /// expression are always evaluated, so two remote calls to distinct peers —
 /// the shape distributed code motion leaves behind when it collapses a
 /// `let`-chain into `execute(…) ⊕ execute(…)` — can fan out together.
-pub(crate) fn binary_scatter(lhs: &Expr, rhs: &Expr) -> bool {
+fn binary_scatter(lhs: &Expr, rhs: &Expr) -> bool {
     matches!(
         (scatter_exec_peer(lhs), scatter_exec_peer(rhs)),
         (Some(a), Some(b)) if a != b
@@ -939,13 +974,13 @@ pub(crate) fn binary_scatter(lhs: &Expr, rhs: &Expr) -> bool {
 /// whose parameters are independent of earlier chain variables — the shape
 /// distributed code motion produces for a federated join. The calls can run
 /// as one scatter round and bind in order afterwards.
-pub(crate) struct LetScatterChain<'a> {
+struct LetScatterChain<'a> {
     /// (bound variable, the Execute expression it binds)
-    pub(crate) binds: Vec<(&'a str, &'a Expr)>,
-    pub(crate) tail: &'a Expr,
+    binds: Vec<(&'a str, &'a Expr)>,
+    tail: &'a Expr,
 }
 
-pub(crate) fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
+fn let_scatter(e: &Expr) -> Option<LetScatterChain<'_>> {
     let mut binds: Vec<(&str, &Expr)> = Vec::new();
     let mut peers: Vec<String> = Vec::new();
     let mut cur = e;
@@ -1145,14 +1180,14 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-pub(crate) fn single_node(seq: &[Item], what: &str) -> EvalResult<NodeId> {
+fn single_node(seq: &[Item], what: &str) -> EvalResult<NodeId> {
     match seq {
         [Item::Node(n)] => Ok(*n),
         _ => Err(EvalError::new(format!("{what} requires a single node operand"))),
     }
 }
 
-pub(crate) fn compare_order_keys(a: &Option<Atomic>, b: &Option<Atomic>) -> std::cmp::Ordering {
+fn compare_order_keys(a: &Option<Atomic>, b: &Option<Atomic>) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a, b) {
         (None, None) => Ordering::Equal,
@@ -1236,4 +1271,123 @@ pub fn eval_query_with_indexes(
     let mut ev =
         Evaluator::new(store, &module.functions, &mut resolver).with_indexes(use_indexes);
     ev.eval(&module.body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_query;
+
+    fn store_with(doc: &str) -> Store {
+        let mut s = Store::new();
+        xqd_xml::parse_document(&mut s, doc, Some("d.xml")).unwrap();
+        s
+    }
+
+    fn run(src: &str, use_indexes: bool) -> EvalResult {
+        let module = parse_query(src).unwrap();
+        eval_query_with_indexes(&mut store_with(DOC), &module, use_indexes)
+    }
+
+    const DOC: &str = r#"<root><group id="g1"><item id="k1"><v>7</v></item>
+        <item id="k2"><v>12</v></item></group>
+        <group id="g2"><item id="k3"><v>30</v></item><entry>x</entry></group></root>"#;
+
+    #[test]
+    fn core_shapes_agree_with_indexes_on_and_off() {
+        let queries = [
+            "count(doc(\"d.xml\")//item)",
+            "doc(\"d.xml\")//item/@id",
+            "for $x in doc(\"d.xml\")//v order by $x descending return $x/text()",
+            "sum(for $v in doc(\"d.xml\")//v return $v)",
+            "(doc(\"d.xml\")//v)[2]",
+            "count(doc(\"d.xml\")//item[v > 10])",
+            "doc(\"d.xml\")//group except doc(\"d.xml\")//group[@id = \"g2\"]",
+            "element out { doc(\"d.xml\")//item/@id }",
+            "string-join(for $i in doc(\"d.xml\")//item return name($i), \",\")",
+            "typeswitch ((doc(\"d.xml\")//item)[1]) case $e as element(item) \
+             return name($e) default $d return \"none\"",
+            "declare function f($n as node()) as xs:string { name($n) }; \
+             for $g in doc(\"d.xml\")//group return f($g)",
+            "some $x in doc(\"d.xml\")//item satisfies $x/@id = \"k2\"",
+            "(doc(\"d.xml\")//item)[1] << (doc(\"d.xml\")//item)[2]",
+        ];
+        for q in queries {
+            assert_eq!(
+                format!("{:?}", run(q, true)),
+                format!("{:?}", run(q, false)),
+                "index toggle changed {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn errors_carry_their_messages() {
+        let cases = [
+            ("1 div 0", "division by zero"),
+            ("nosuchfn(1)", "unknown function nosuchfn()"),
+            ("count(1, 2)", "unknown function count()"),
+            ("sum(doc(\"d.xml\")//item) + missing()", "unknown function missing()"),
+            ("(1)/child::a", "axis step applied to an atomic value"),
+            ("declare function g($a) { g($a) }; g(1)", "call depth exceeded in g()"),
+        ];
+        for (q, want) in cases {
+            for idx in [true, false] {
+                let err = run(q, idx).unwrap_err();
+                assert_eq!(err.message, want, "{q} (indexes={idx})");
+            }
+        }
+    }
+
+    #[test]
+    fn names_resolve_lazily_for_constructed_docs() {
+        // "made" is interned only when the constructor runs, after the step
+        // name has been looked up (and missed) once: the memo must not
+        // cache that miss, or the constructed element would stay invisible
+        let q = "for $i in (1, 2) return count(element wrap { element made { } }//made)";
+        for idx in [true, false] {
+            assert_eq!(format!("{:?}", run(q, idx)), "Ok([Atom(Int(1)), Atom(Int(1))])");
+        }
+    }
+
+    #[test]
+    fn name_memo_keeps_hits_only_and_stays_bounded() {
+        let mut names = NameTable::new();
+        let mut memo = NameMemo::default();
+        let step = String::from("a");
+        assert_eq!(memo.resolve(&names, &step), None);
+        assert!(memo.0.is_empty(), "a miss is never cached");
+        let a = names.intern("a");
+        assert_eq!(memo.resolve(&names, &step), Some(a));
+        assert_eq!(memo.resolve(&names, &step), Some(a));
+        assert_eq!(memo.0.len(), 1);
+        // past the cap, lookups still answer from the table
+        let many: Vec<String> = (0..NAME_MEMO_CAP + 8).map(|i| format!("n{i}")).collect();
+        let ids: Vec<NameId> = many.iter().map(|n| names.intern(n)).collect();
+        for (n, id) in many.iter().zip(&ids) {
+            assert_eq!(memo.resolve(&names, n), Some(*id));
+        }
+        assert_eq!(memo.0.len(), NAME_MEMO_CAP);
+        // an equal name at another address is a separate entry point but
+        // the same id
+        assert_eq!(memo.resolve(&names, &String::from("a")), Some(a));
+    }
+
+    #[test]
+    fn scatter_rounds_are_detected() {
+        let q = "let $a := execute at { \"p1\" } params () { 1 } \
+                 let $b := execute at { \"p2\" } params () { 2 } \
+                 return ($a, $b)";
+        let module = parse_query(q).unwrap();
+        assert_eq!(scatter_rounds(&module.body), vec![2]);
+        assert!(let_scatter(&module.body).is_some_and(|c| c.binds.len() == 2));
+    }
+
+    #[test]
+    fn bulk_shape_is_detected_on_for() {
+        let q = "for $x in (1, 2) return execute at { \"p1\" } params () { 0 }";
+        let module = parse_query(q).unwrap();
+        let Expr::For { ret, .. } = &module.body else { panic!("expected a for") };
+        assert!(bulk_pattern(ret).is_some_and(|b| b.peer == "p1"));
+    }
 }

@@ -25,24 +25,21 @@
 
 pub mod ast;
 pub mod builtins;
-pub mod compile;
 pub mod eval;
 pub mod lexer;
 pub mod normalize;
 pub mod parser;
+pub mod profile;
 pub mod value;
 
-pub use ast::{Atomic, Expr, FunctionDef, QueryModule, XrpcParam};
-pub use compile::{
-    compile_module, compile_query, Op, OpProfile, OpRef, Plan, PlanRoute, PlanSemijoin, PlanStep,
-    ProfileHook, SymId,
-};
+pub use ast::{Atomic, Expr, FunctionDef, Literal, QueryModule, XrpcParam};
 pub use eval::{
     eval_query, eval_query_with_indexes, scatter_rounds, DocResolver, Evaluator, LocalResolver,
     RemoteHandler, ScatterCall, StaticContext,
 };
 pub use normalize::{free_vars, inline_functions, lower_filters, normalize, rename_var};
 pub use parser::{parse_expr_str, parse_query, ParseError};
+pub use profile::{ExprProfile, ProfileHook};
 pub use value::{
     deep_equal, effective_boolean_value, EvalError, EvalResult, Item, Sequence,
 };

@@ -100,7 +100,7 @@ pub fn normalize(module: &QueryModule) -> Result<Expr, EvalError> {
 }
 
 fn is_positional(pred: &Expr) -> bool {
-    matches!(pred, Expr::Literal(Atomic::Int(_)) | Expr::Literal(Atomic::Dbl(_)))
+    matches!(pred, Expr::Literal(l) if matches!(l.atom(), Atomic::Int(_) | Atomic::Dbl(_)))
 }
 
 fn fresh_filter_var(pred: &Expr) -> String {

@@ -868,15 +868,15 @@ impl Parser {
         match self.peek().clone() {
             Token::StringLit(s) => {
                 self.bump();
-                Ok(Expr::Literal(Atomic::Str(s)))
+                Ok(Expr::literal(Atomic::Str(s)))
             }
             Token::IntLit(i) => {
                 self.bump();
-                Ok(Expr::Literal(Atomic::Int(i)))
+                Ok(Expr::literal(Atomic::Int(i)))
             }
             Token::DblLit(d) => {
                 self.bump();
-                Ok(Expr::Literal(Atomic::Dbl(d)))
+                Ok(Expr::literal(Atomic::Dbl(d)))
             }
             Token::Dollar => {
                 self.bump();
@@ -1019,7 +1019,7 @@ mod tests {
         assert_eq!(p("()"), Expr::Empty);
         assert_eq!(p("(1, 2)"), Expr::Sequence(vec![Expr::int(1), Expr::int(2)]));
         assert_eq!(p("(1)"), Expr::int(1));
-        assert_eq!(p("1.5"), Expr::Literal(Atomic::Dbl(1.5)));
+        assert_eq!(p("1.5"), Expr::literal(Atomic::Dbl(1.5)));
     }
 
     #[test]

@@ -132,11 +132,6 @@ pub struct ExecOptions {
     /// Seed of the rendezvous replica-selection policy (see
     /// [`xqd_core::replicas::rendezvous_order`]).
     pub replica_seed: u64,
-    /// Lower queries to the flat plan IR ([`xqd_xquery::Plan`]) and execute
-    /// that, on the coordinator and on every peer. Off = the tree-walk
-    /// interpreter runs everywhere; results and message bytes are
-    /// bit-identical either way, which the plan-equivalence suite asserts.
-    pub compile: bool,
     /// Capacity of the coordinator-side LRU plan cache. `0` disables
     /// caching entirely: every run pays the full front end again.
     pub plan_cache_size: usize,
@@ -158,10 +153,10 @@ pub struct ExecOptions {
     /// clock (see [`crate::trace`]). Off (the default) allocates nothing
     /// on the hot path; the returned [`RunOutcome::trace`] is then `None`.
     pub trace: bool,
-    /// Collect a per-operator execution profile of the coordinator's
-    /// compiled plan (execution counts, items produced, simulated-time
-    /// attribution — the `explain --analyze` payload). Requires
-    /// [`ExecOptions::compile`]; off by default.
+    /// Collect a per-node execution profile of the coordinator's
+    /// evaluation of the decomposed query (evaluation counts, items
+    /// produced, simulated-time attribution — the `explain --analyze`
+    /// payload). Off by default.
     pub profile: bool,
 }
 
@@ -176,7 +171,6 @@ impl Default for ExecOptions {
             hedge: None,
             breaker: BreakerPolicy::default(),
             replica_seed: 0,
-            compile: true,
             plan_cache_size: 64,
             semijoin: true,
             peer_queue_depth: 32,
@@ -257,7 +251,6 @@ struct MetricsSink {
     breaker_trips: AtomicU64,
     breaker_probes: AtomicU64,
     replica_failovers: AtomicU64,
-    plans_compiled: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     semijoins: AtomicU64,
@@ -290,7 +283,6 @@ impl MetricsSink {
             &self.breaker_trips,
             &self.breaker_probes,
             &self.replica_failovers,
-            &self.plans_compiled,
             &self.plan_cache_hits,
             &self.plan_cache_misses,
             &self.semijoins,
@@ -321,7 +313,6 @@ impl MetricsSink {
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
             breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
             replica_failovers: self.replica_failovers.load(Ordering::Relaxed),
-            plans_compiled: self.plans_compiled.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             semijoins: self.semijoins.load(Ordering::Relaxed),
@@ -406,8 +397,8 @@ struct FedCore {
     catalog: Mutex<ReplicaCatalog>,
     /// Coordinator-side LRU cache of prepared queries (see [`PlanCache`]).
     plans: Mutex<PlanCache>,
-    /// Static context applied to coordinator evaluation and compiled into
-    /// cached plans; part of the plan-cache key.
+    /// Static context applied to coordinator evaluation; part of the
+    /// plan-cache key.
     static_ctx: Mutex<StaticContext>,
     /// Topology generation: bumped whenever a peer, document or replica
     /// placement is added, so plans whose replica resolution was baked
@@ -424,12 +415,12 @@ struct FedCore {
     last_trace: Mutex<Option<Trace>>,
 }
 
-/// One cached unit of coordinator front-end work: the decomposition (kept
-/// for explain output) plus the compiled plan that executes it.
+/// One cached unit of coordinator front-end work: the decomposed query
+/// with its remote calls' replica candidates resolved. A warm run
+/// evaluates its `rewritten` body directly, skipping parse and decompose.
 #[derive(Debug)]
 pub struct PreparedQuery {
     pub decomposition: xqd_core::Decomposition,
-    pub plan: xqd_xquery::Plan,
 }
 
 /// Everything a prepared query is a function of. Two runs whose keys differ
@@ -667,12 +658,10 @@ pub struct RunOutcome {
     pub plan: xqd_core::Decomposition,
     /// The run's span trace when [`ExecOptions::trace`] was set.
     pub trace: Option<Trace>,
-    /// Per-operator execution profile when [`ExecOptions::profile`] was set
-    /// and the run executed a compiled plan (pair it with
-    /// [`RunOutcome::compiled`] for `explain --analyze` output).
-    pub profile: Option<xqd_xquery::OpProfile>,
-    /// The compiled plan the profile indexes into, when one executed.
-    pub compiled: Option<Arc<PreparedQuery>>,
+    /// Per-node execution profile of `plan.rewritten` when
+    /// [`ExecOptions::profile`] was set (print it with
+    /// [`xqd_xquery::ExprProfile::dump`] for `explain --analyze` output).
+    pub profile: Option<xqd_xquery::ExprProfile>,
 }
 
 impl Federation {
@@ -699,8 +688,7 @@ impl Federation {
 
     /// Sets the static context applied to coordinator evaluation in
     /// subsequent runs. Part of the plan-cache key: runs under distinct
-    /// contexts never share a plan (constants fold under the context the
-    /// plan was compiled for).
+    /// contexts never share a plan.
     pub fn set_static_context(&mut self, ctx: StaticContext) {
         *self.core.static_ctx.lock().unwrap() = ctx;
     }
@@ -929,12 +917,6 @@ impl Federation {
         options: xqd_core::DecomposeOptions,
     ) -> EvalResult<RunOutcome> {
         let (exec_options, static_ctx) = self.begin_run(strategy);
-        if !exec_options.compile {
-            let module =
-                parse_query(query).map_err(|e| EvalError::new(format!("parse error: {e}")))?;
-            self.trace_parse_event(query);
-            return self.run_prepared_module(&module, strategy, options, &exec_options, &static_ctx);
-        }
         // key on the raw query text: a warm cache skips the parser too
         let key = self.plan_key(query, strategy, options, &exec_options, &static_ctx);
         let prepared = match self.cache_lookup(exec_options.plan_cache_size, &key) {
@@ -943,11 +925,10 @@ impl Federation {
                 let module = parse_query(query)
                     .map_err(|e| EvalError::new(format!("parse error: {e}")))?;
                 self.trace_parse_event(query);
-                self.compile_into_cache(key, &module, strategy, options, &exec_options, &static_ctx)?
+                self.decompose_into_cache(key, &module, strategy, options, &exec_options)?
             }
         };
-        let decomposition = prepared.decomposition.clone();
-        self.finish_run(Some(prepared), decomposition, &exec_options, &static_ctx)
+        self.finish_run(prepared, &exec_options, &static_ctx)
     }
 
     /// Like [`Self::run`] for an already-parsed module.
@@ -967,11 +948,10 @@ impl Federation {
     }
 
     /// Runs (or, on a warm cache, skips) the front end for `query` — parse,
-    /// decompose, replica resolution, lowering to plan IR — and returns the
-    /// prepared entry. This is the per-run preamble [`Self::run`] executes;
-    /// exposed so benches can measure the front-end rate on its own. Cache
-    /// events count into the metric sink and are swept up by the next run's
-    /// reset.
+    /// decompose, replica resolution — and returns the prepared entry. This
+    /// is the per-run preamble [`Self::run`] executes; exposed so benches can
+    /// measure the front-end rate on its own. Cache events count into the
+    /// metric sink and are swept up by the next run's reset.
     pub fn prepare(&mut self, query: &str, strategy: Strategy) -> EvalResult<Arc<PreparedQuery>> {
         let exec_options = self.core.options();
         let static_ctx = self.core.static_ctx.lock().unwrap().clone();
@@ -982,7 +962,7 @@ impl Federation {
             None => {
                 let module = parse_query(query)
                     .map_err(|e| EvalError::new(format!("parse error: {e}")))?;
-                self.compile_into_cache(key, &module, strategy, options, &exec_options, &static_ctx)
+                self.decompose_into_cache(key, &module, strategy, options, &exec_options)
             }
         }
     }
@@ -1028,7 +1008,7 @@ impl Federation {
     }
 
     /// The module-level front end: cache lookup under the printed module
-    /// text when compiling, plain decomposition otherwise.
+    /// text.
     fn run_prepared_module(
         &mut self,
         module: &QueryModule,
@@ -1037,40 +1017,14 @@ impl Federation {
         exec_options: &ExecOptions,
         static_ctx: &StaticContext,
     ) -> EvalResult<RunOutcome> {
-        if exec_options.compile {
-            let mut text = String::new();
-            xqd_xquery::ast::print_module(module, &mut text);
-            let key = self.plan_key(&text, strategy, options, exec_options, static_ctx);
-            let prepared = match self.cache_lookup(exec_options.plan_cache_size, &key) {
-                Some(p) => p,
-                None => {
-                    self.compile_into_cache(key, module, strategy, options, exec_options, static_ctx)?
-                }
-            };
-            let decomposition = prepared.decomposition.clone();
-            self.finish_run(Some(prepared), decomposition, exec_options, static_ctx)
-        } else {
-            let plan = self.decompose_resolved(module, strategy, options, exec_options)?;
-            self.finish_run(None, plan, exec_options, static_ctx)
-        }
-    }
-
-    /// Decomposes `module` and annotates each remote call with its replica
-    /// candidates (explain output; the executor re-derives the same order
-    /// per ladder).
-    fn decompose_resolved(
-        &self,
-        module: &QueryModule,
-        strategy: Strategy,
-        options: xqd_core::DecomposeOptions,
-        exec_options: &ExecOptions,
-    ) -> EvalResult<xqd_core::Decomposition> {
-        let mut options = options;
-        options.semijoin = options.semijoin || exec_options.semijoin;
-        let mut plan = xqd_core::decompose_with(module, strategy, options)?;
-        let catalog = self.core.catalog.lock().unwrap();
-        plan.resolve_replicas(&catalog, exec_options.replica_seed);
-        Ok(plan)
+        let mut text = String::new();
+        xqd_xquery::ast::print_module(module, &mut text);
+        let key = self.plan_key(&text, strategy, options, exec_options, static_ctx);
+        let prepared = match self.cache_lookup(exec_options.plan_cache_size, &key) {
+            Some(p) => p,
+            None => self.decompose_into_cache(key, module, strategy, options, exec_options)?,
+        };
+        self.finish_run(prepared, exec_options, static_ctx)
     }
 
     fn plan_key(
@@ -1111,44 +1065,28 @@ impl Federation {
         hit
     }
 
-    /// The cache-miss slow path: decompose, resolve replicas, lower to plan
-    /// IR (recording the routes for explain), insert under `key`.
-    fn compile_into_cache(
+    /// The cache-miss slow path: decompose, annotate each remote call with
+    /// its replica candidates (explain output; the executor re-derives the
+    /// same order per ladder), insert under `key`.
+    fn decompose_into_cache(
         &self,
         key: PlanKey,
         module: &QueryModule,
         strategy: Strategy,
         options: xqd_core::DecomposeOptions,
         exec_options: &ExecOptions,
-        static_ctx: &StaticContext,
     ) -> EvalResult<Arc<PreparedQuery>> {
-        let decomposition = self.decompose_resolved(module, strategy, options, exec_options)?;
-        let routes = decomposition
-            .calls
-            .iter()
-            .map(|c| xqd_xquery::PlanRoute { peer: c.peer.clone(), replicas: c.replicas.clone() })
-            .collect();
-        let semijoins = decomposition
-            .semijoins
-            .iter()
-            .map(|e| xqd_xquery::PlanSemijoin {
-                var: e.var.clone(),
-                key_path: e.key_path.clone(),
-                producer_peer: e.producer_peer.clone(),
-                consumer_peer: e.consumer_peer.clone(),
-            })
-            .collect();
-        // the decomposer inlined user functions; the body is the whole query
-        let plan = xqd_xquery::compile_module(&[], &decomposition.rewritten, exec_options.use_indexes, static_ctx)
-            .with_routes(routes)
-            .with_semijoins(semijoins);
-        self.core.metrics.plans_compiled.fetch_add(1, Ordering::Relaxed);
+        let mut options = options;
+        options.semijoin = options.semijoin || exec_options.semijoin;
+        let mut decomposition = xqd_core::decompose_with(module, strategy, options)?;
+        decomposition
+            .resolve_replicas(&self.core.catalog.lock().unwrap(), exec_options.replica_seed);
         if let Some(tracer) = self.core.tracer() {
-            // zero-duration marker: decompose + lowering are coordinator
-            // CPU, which the simulated clock does not bill (see trace docs)
+            // zero-duration marker: decomposition is coordinator CPU, which
+            // the simulated clock does not bill (see trace docs)
             tracer.event(
                 ROOT_SPAN,
-                "frontend.compile",
+                "frontend.decompose",
                 "frontend",
                 vec![
                     ("remote_calls", decomposition.calls.len().to_string()),
@@ -1156,7 +1094,7 @@ impl Federation {
                 ],
             );
         }
-        let prepared = Arc::new(PreparedQuery { decomposition, plan });
+        let prepared = Arc::new(PreparedQuery { decomposition });
         self.core.plans.lock().unwrap().insert(
             exec_options.plan_cache_size,
             key,
@@ -1166,30 +1104,21 @@ impl Federation {
     }
 
     /// The back end shared by every entry point: fresh coordinator store,
-    /// evaluate (compiled plan or interpreter), canonicalize, snapshot.
+    /// evaluate the decomposed query, canonicalize, snapshot.
     fn finish_run(
         &mut self,
-        compiled: Option<Arc<PreparedQuery>>,
-        plan: xqd_core::Decomposition,
+        prepared: Arc<PreparedQuery>,
         exec_options: &ExecOptions,
         static_ctx: &StaticContext,
     ) -> EvalResult<RunOutcome> {
         let started = Instant::now();
-        // per-op profiling reads the tracer's simulated clock when tracing
+        let body = &prepared.decomposition.rewritten;
+        // per-node profiling reads the tracer's simulated clock when tracing
         // is on (one shared timeline); a fresh zero cell otherwise
-        let hook = match (&compiled, exec_options.profile) {
-            (Some(p), true) => Some(xqd_xquery::ProfileHook {
-                data: std::rc::Rc::new(std::cell::RefCell::new(xqd_xquery::OpProfile::new(
-                    p.plan.ops.len(),
-                ))),
-                clock: self
-                    .core
-                    .tracer()
-                    .map(|t| t.clock_handle())
-                    .unwrap_or_default(),
-            }),
-            _ => None,
-        };
+        let hook = exec_options.profile.then(|| {
+            let clock = self.core.tracer().map(|t| t.clock_handle()).unwrap_or_default();
+            xqd_xquery::ProfileHook::new(body, clock)
+        });
         // fresh coordinator store per run
         let mut local = Store::new();
         let mut link = FedLink { core: Arc::clone(&self.core), peer: String::new() };
@@ -1202,10 +1131,7 @@ impl Federation {
         if let Some(h) = &hook {
             ev = ev.with_profile(h.clone());
         }
-        let evaluated = match &compiled {
-            Some(p) => p.plan.eval(&mut ev),
-            None => ev.eval(&plan.rewritten),
-        };
+        let evaluated = ev.eval(body);
         drop(ev);
         // the tracer is *taken* even on error, so spans from one run (or
         // from stray `prepare()` calls in between) never leak into the next
@@ -1218,6 +1144,7 @@ impl Federation {
         *self.core.last_trace.lock().unwrap() = trace.clone();
         let result = evaluated?;
         let profile = hook.map(|h| h.data.borrow().clone());
+        let plan = prepared.decomposition.clone();
         self.core
             .metrics
             .semijoins
@@ -1226,7 +1153,7 @@ impl Federation {
         let canonical = result.iter().map(|i| canonical_item(&local, i)).collect();
         let mut metrics = self.core.metrics.snapshot();
         metrics.total = total;
-        Ok(RunOutcome { result: canonical, metrics, plan, trace, profile, compiled })
+        Ok(RunOutcome { result: canonical, metrics, plan, trace, profile })
     }
 
     /// Metrics of the last run (also returned in [`RunOutcome`]); `total`
@@ -1649,7 +1576,6 @@ fn eval_one_call(
     peer: &str,
     store: &mut Store,
     module: &QueryModule,
-    plan: Option<&xqd_xquery::Plan>,
     static_ctx: &StaticContext,
     params: &[(String, Sequence)],
 ) -> EvalResult<Sequence> {
@@ -1662,10 +1588,7 @@ fn eval_one_call(
     for (name, value) in params {
         ev.bind(name, value.clone());
     }
-    match plan {
-        Some(p) => p.eval(&mut ev),
-        None => ev.eval(&module.body),
-    }
+    ev.eval(&module.body)
 }
 
 /// Syntactic gate for splitting a Bulk RPC call list across store
@@ -1722,27 +1645,16 @@ fn process_request(
         .map_err(|e| EvalError::new(format!("remote parse error: {e}")))?;
 
     let options = core.options();
-    // Peers compile per request — the request is the unit of determinism
-    // under concurrent scatter/hedged delivery, so peer-side compiles are
-    // kept off the plan counters and out of the coordinator's cache.
-    let plan = options.compile.then(|| {
-        xqd_xquery::compile_module(
-            &module.functions,
-            &module.body,
-            options.use_indexes,
-            &decoded.static_ctx,
-        )
-    });
     let t_exec = Instant::now();
     let results = if options.bulk_workers > 1
         && decoded.calls.len() > 1
         && body_snapshot_safe(&module, peer)
     {
-        eval_calls_parallel(core, peer, store, &module, plan.as_ref(), &decoded.static_ctx, &decoded.calls, options.bulk_workers)?
+        eval_calls_parallel(core, peer, store, &module, &decoded.static_ctx, &decoded.calls, options.bulk_workers)?
     } else {
         let mut results = Vec::with_capacity(decoded.calls.len());
         for params in &decoded.calls {
-            results.push(eval_one_call(core, peer, store, &module, plan.as_ref(), &decoded.static_ctx, params)?);
+            results.push(eval_one_call(core, peer, store, &module, &decoded.static_ctx, params)?);
         }
         results
     };
@@ -1775,7 +1687,6 @@ fn eval_calls_parallel(
     peer: &str,
     store: &mut Store,
     module: &QueryModule,
-    plan: Option<&xqd_xquery::Plan>,
     static_ctx: &StaticContext,
     calls: &[Vec<(String, Sequence)>],
     workers: usize,
@@ -1802,7 +1713,7 @@ fn eval_calls_parallel(
                 s.spawn(move || {
                     let out: Vec<EvalResult<Sequence>> = r
                         .map(|ci| {
-                            eval_one_call(&core, peer, &mut snapshot, module, plan, static_ctx, &calls[ci])
+                            eval_one_call(&core, peer, &mut snapshot, module, static_ctx, &calls[ci])
                         })
                         .collect();
                     let clean = snapshot.docs().count() == base_docs;
@@ -1843,7 +1754,7 @@ fn eval_calls_parallel(
             // the snapshot diverged (body attached documents despite the
             // gate): discard and recompute this chunk against the base store
             for ci in range {
-                results.push(eval_one_call(core, peer, store, module, plan, static_ctx, &calls[ci])?);
+                results.push(eval_one_call(core, peer, store, module, static_ctx, &calls[ci])?);
             }
         }
     }
@@ -2461,7 +2372,7 @@ fn degrade_module(module: &QueryModule, peer: &str) -> Option<QueryModule> {
                         } else if !uri.contains("://") {
                             Expr::FunCall {
                                 name: name.clone(),
-                                args: vec![Expr::Literal(Atomic::Str(format!(
+                                args: vec![Expr::literal(Atomic::Str(format!(
                                     "xrpc://{peer}/{uri}"
                                 )))],
                             }

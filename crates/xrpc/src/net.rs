@@ -524,10 +524,6 @@ pub struct Metrics {
     /// Ladder rungs dispatched to a replica after the preferred peer
     /// failed or was rejected by its breaker.
     pub replica_failovers: u64,
-    /// Queries lowered to a fresh plan IR this run (coordinator-side
-    /// cache misses and compile-on-the-fly runs; peer-side compiles are
-    /// excluded to keep the counter deterministic under concurrency).
-    pub plans_compiled: u64,
     /// Coordinator plan-cache hits.
     pub plan_cache_hits: u64,
     /// Coordinator plan-cache misses.
@@ -607,7 +603,6 @@ impl Metrics {
         self.breaker_trips += other.breaker_trips;
         self.breaker_probes += other.breaker_probes;
         self.replica_failovers += other.replica_failovers;
-        self.plans_compiled += other.plans_compiled;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
         self.semijoins += other.semijoins;
@@ -624,7 +619,7 @@ impl Metrics {
     /// The counter-valued fields (everything deterministic under a fixed
     /// seed and fault plan — measured durations are excluded). The retry
     /// determinism suite compares these across repeated runs.
-    pub fn counters(&self) -> [u64; 23] {
+    pub fn counters(&self) -> [u64; 22] {
         [
             self.message_bytes,
             self.document_bytes,
@@ -639,7 +634,6 @@ impl Metrics {
             self.breaker_trips,
             self.breaker_probes,
             self.replica_failovers,
-            self.plans_compiled,
             self.plan_cache_hits,
             self.plan_cache_misses,
             self.semijoins,
@@ -663,7 +657,7 @@ impl Metrics {
 /// name at position `i` describes `counters()[i]`. Appending is fine;
 /// reordering or renaming breaks the replay contract and is pinned by
 /// `metric_names_pin_the_replay_contract` below.
-pub const METRIC_NAMES: [&str; 23] = [
+pub const METRIC_NAMES: [&str; 22] = [
     "message_bytes",
     "document_bytes",
     "transfers",
@@ -677,7 +671,6 @@ pub const METRIC_NAMES: [&str; 23] = [
     "breaker_trips",
     "breaker_probes",
     "replica_failovers",
-    "plans_compiled",
     "plan_cache_hits",
     "plan_cache_misses",
     "semijoins",
@@ -696,7 +689,7 @@ pub const METRIC_NAMES: [&str; 23] = [
 /// aid, not a new format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    counters: [u64; 23],
+    counters: [u64; 22],
 }
 
 macro_rules! snapshot_accessors {
@@ -711,12 +704,12 @@ macro_rules! snapshot_accessors {
 }
 
 impl MetricsSnapshot {
-    pub fn from_counters(counters: [u64; 23]) -> MetricsSnapshot {
+    pub fn from_counters(counters: [u64; 22]) -> MetricsSnapshot {
         MetricsSnapshot { counters }
     }
 
     /// The underlying replay-contract array, unchanged.
-    pub fn counters(&self) -> [u64; 23] {
+    pub fn counters(&self) -> [u64; 22] {
         self.counters
     }
 
@@ -732,24 +725,22 @@ impl MetricsSnapshot {
 
     /// The transport and resilience counters — `message_bytes` through
     /// `replica_failovers` — the contract prefix that must stay
-    /// byte-identical between the compiled engine and the interpreter
-    /// oracle (the plan-compilation trio that follows legitimately
-    /// differs between them).
+    /// byte-identical between a warm-cache run and an uncached one (the
+    /// plan-cache pair that follows legitimately differs between them).
     pub fn wire(&self) -> &[u64] {
         &self.counters[..13]
     }
 
-    /// The plan-compilation trio `[plans_compiled, plan_cache_hits,
-    /// plan_cache_misses]`.
-    pub fn plan_cache(&self) -> [u64; 3] {
-        [self.counters[13], self.counters[14], self.counters[15]]
+    /// The plan-cache pair `[plan_cache_hits, plan_cache_misses]`.
+    pub fn plan_cache(&self) -> [u64; 2] {
+        [self.counters[13], self.counters[14]]
     }
 
-    /// Everything after the plan trio: the join-rewrite (`semijoins`,
-    /// `join_keys_shipped`, `join_bytes_saved`) and scheduler
+    /// Everything after the plan-cache pair: the join-rewrite
+    /// (`semijoins`, `join_keys_shipped`, `join_bytes_saved`) and scheduler
     /// (`queued` … `peak_queue_depth`) counter families.
     pub fn joins_and_scheduler(&self) -> &[u64] {
-        &self.counters[16..]
+        &self.counters[15..]
     }
 
     snapshot_accessors! {
@@ -766,16 +757,15 @@ impl MetricsSnapshot {
         10 => breaker_trips,
         11 => breaker_probes,
         12 => replica_failovers,
-        13 => plans_compiled,
-        14 => plan_cache_hits,
-        15 => plan_cache_misses,
-        16 => semijoins,
-        17 => join_keys_shipped,
-        18 => join_bytes_saved,
-        19 => queued,
-        20 => shed,
-        21 => deadline_cancelled,
-        22 => peak_queue_depth,
+        13 => plan_cache_hits,
+        14 => plan_cache_misses,
+        15 => semijoins,
+        16 => join_keys_shipped,
+        17 => join_bytes_saved,
+        18 => queued,
+        19 => shed,
+        20 => deadline_cancelled,
+        21 => peak_queue_depth,
     }
 }
 
@@ -1022,21 +1012,11 @@ mod tests {
 
     #[test]
     fn metrics_counters_include_plan_fields() {
-        let mut a = Metrics {
-            plans_compiled: 1,
-            plan_cache_hits: 2,
-            plan_cache_misses: 3,
-            ..Default::default()
-        };
-        let b = Metrics {
-            plans_compiled: 10,
-            plan_cache_hits: 20,
-            plan_cache_misses: 30,
-            ..Default::default()
-        };
+        let mut a = Metrics { plan_cache_hits: 2, plan_cache_misses: 3, ..Default::default() };
+        let b = Metrics { plan_cache_hits: 20, plan_cache_misses: 30, ..Default::default() };
         a.add(&b);
         let s = a.named();
-        assert_eq!([s.plans_compiled(), s.plan_cache_hits(), s.plan_cache_misses()], [11, 22, 33]);
+        assert_eq!([s.plan_cache_hits(), s.plan_cache_misses()], [22, 33]);
     }
 
     #[test]
@@ -1107,7 +1087,6 @@ mod tests {
                 "breaker_trips",
                 "breaker_probes",
                 "replica_failovers",
-                "plans_compiled",
                 "plan_cache_hits",
                 "plan_cache_misses",
                 "semijoins",
@@ -1120,7 +1099,7 @@ mod tests {
             ]
         );
         // distinct sentinel per slot: get(name) must hit exactly its index
-        let mut counters = [0u64; 23];
+        let mut counters = [0u64; 22];
         for (i, c) in counters.iter_mut().enumerate() {
             *c = 1000 + i as u64;
         }
@@ -1135,9 +1114,9 @@ mod tests {
         assert_eq!(s.scatter_rounds(), s.get("scatter_rounds").unwrap());
         assert_eq!(s.peak_queue_depth(), s.get("peak_queue_depth").unwrap());
         let collected: Vec<(&str, u64)> = s.iter().collect();
-        assert_eq!(collected.len(), 23);
+        assert_eq!(collected.len(), 22);
         assert_eq!(collected[0], ("message_bytes", 1000));
-        assert_eq!(collected[22], ("peak_queue_depth", 1022));
+        assert_eq!(collected[21], ("peak_queue_depth", 1021));
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl WorkloadReport {
 
     /// The deterministic fields the replay-determinism suite compares:
     /// scheduler buckets, per-query fates and the metric counters.
-    pub fn replay_signature(&self) -> (u64, u64, u64, u64, [u64; 23]) {
+    pub fn replay_signature(&self) -> (u64, u64, u64, u64, [u64; 22]) {
         (
             self.completed,
             self.shed,

@@ -23,7 +23,7 @@
 //!    forward only after a sequential ladder completes or a scatter round
 //!    gathers, by exactly the overlapped chain charged to the metrics.
 //!
-//! CPU-bound front-end work (parse, decompose, compile) is recorded as
+//! CPU-bound front-end work (parse, decompose) is recorded as
 //! zero-duration marker spans: the simulated clock has no opinion about
 //! coordinator CPU, and giving those spans wall-clock durations would
 //! break replay. The practical consequence is that 100% of a trace's
@@ -126,7 +126,7 @@ struct TracerInner {
 pub struct Tracer {
     trace_id: u64,
     /// Simulated clock cell, shared with the evaluator's profile hook so
-    /// per-operator time attribution reads the same timeline.
+    /// per-node time attribution reads the same timeline.
     clock: Arc<AtomicU64>,
     inner: Mutex<TracerInner>,
 }
@@ -160,7 +160,7 @@ impl Tracer {
         self.clock.load(Ordering::SeqCst)
     }
 
-    /// The shared clock cell (for the evaluator's per-operator profile).
+    /// The shared clock cell (for the evaluator's per-node profile).
     pub fn clock_handle(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.clock)
     }

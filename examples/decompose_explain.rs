@@ -1,11 +1,11 @@
 //! Walks the paper's Q2 (Table III) through the full decomposition
 //! pipeline, printing each stage: surface query → XCore → d-graph →
 //! normalized (let-motion) → the decomposed plans Qv2 / Qf2 / Qp2 with code
-//! motion and projection paths (Tables III & IV) → the compiled flat plan
-//! IR the executor actually runs (op list, per-step indexed/scan choice,
-//! folded constants, scatter rounds, replica routes) → the join-aware
-//! variant: the detected cross-peer join graph, the chosen key-ship
-//! direction, and the rewritten distinct-key harvest call.
+//! motion and projection paths (Tables III & IV) and the scatter rounds the
+//! executor fans out → the join-aware variant: the detected cross-peer
+//! join graph, the chosen key-ship direction, and the rewritten
+//! distinct-key harvest call. The rewritten query is what the coordinator
+//! caches and evaluates.
 //!
 //! ```sh
 //! cargo run --example decompose_explain
@@ -13,8 +13,7 @@
 
 use xqd::core::dgraph::build_dgraph;
 use xqd::core::letmotion::let_motion;
-use xqd::{compile_module, decompose, decompose_with, parse_query, DecomposeOptions, StaticContext, Strategy};
-use xqd::xquery::PlanRoute;
+use xqd::{decompose, decompose_with, parse_query, DecomposeOptions, Strategy};
 
 const Q2: &str = r#"
 (let $s := doc("xrpc://A/students.xml")/people/person,
@@ -66,19 +65,7 @@ fn main() {
             }
         }
 
-        // the flat plan IR the executor lowers the rewritten query to (the
-        // coordinator caches this per query text + static context)
-        let routes = d
-            .calls
-            .iter()
-            .map(|c| PlanRoute { peer: c.peer.clone(), replicas: c.replicas.clone() })
-            .collect();
-        let plan = compile_module(&[], &d.rewritten, true, &StaticContext::default())
-            .with_routes(routes);
-        println!("--- compiled plan IR:");
-        for line in plan.dump().lines() {
-            println!("  {line}");
-        }
+        println!("--- scatter rounds: {:?}", d.scatter_rounds);
 
         // the executor's default adds join-aware decomposition on top: the
         // cross-peer equi-join is detected, the small side's Execute is

@@ -28,15 +28,15 @@ fn main() {
 
     println!(
         "{:>34} {:>10} {:>10} {:>10} {:>9} {:>6}",
-        "query", "doc KB", "scan us", "index us", "speedup", "equal"
+        "query", "doc KB", "scan ns", "index ns", "speedup", "equal"
     );
     for p in &points {
         println!(
             "{:>34} {:>10.1} {:>10} {:>10} {:>8.2}x {:>6}",
             p.query,
             p.doc_bytes as f64 / 1024.0,
-            p.scan_us,
-            p.indexed_us,
+            p.scan_ns,
+            p.indexed_ns,
             p.speedup(),
             p.results_identical,
         );

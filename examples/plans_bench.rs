@@ -1,7 +1,7 @@
-//! Plans experiment: the compiled front end (parse → decompose → lower to
-//! flat plan IR) on a repeated-query workload, with the coordinator's LRU
+//! Plans experiment: the coordinator front end (parse → decompose → replica
+//! resolution) on a repeated-query workload, with the coordinator's LRU
 //! plan cache off / cold / warm, plus end-to-end latency and bit-parity of
-//! compiled vs. interpreted execution. Writes the trajectory to
+//! warm-cache vs. uncached execution. Writes the trajectory to
 //! `BENCH_plans.json` (override with `--out <path>`) and prints the table.
 //!
 //! Run with: `cargo run --release --example plans_bench`
@@ -38,7 +38,7 @@ fn main() {
 
     println!(
         "{:>28} {:>12} {:>12} {:>12} {:>9} {:>10} {:>10} {:>10} {:>6}",
-        "query", "off p/s", "cold p/s", "warm p/s", "speedup", "comp us", "interp us", "traced us",
+        "query", "off p/s", "cold p/s", "warm p/s", "speedup", "warm us", "uncach us", "traced us",
         "equal"
     );
     for p in &points {
@@ -49,8 +49,8 @@ fn main() {
             p.cold_plans_per_sec,
             p.warm_plans_per_sec,
             p.warm_speedup(),
-            p.compiled_us,
-            p.interpreted_us,
+            p.warm_us,
+            p.uncached_us,
             p.traced_us,
             p.results_identical && p.bytes_identical,
         );

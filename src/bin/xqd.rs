@@ -48,7 +48,7 @@ xqd — distributed XQuery (pass-by-value / -fragment / -projection)
 USAGE:
   xqd run [QUERY-FILE] [-e QUERY] [OPTIONS]     execute a federated query
   xqd explain [QUERY-FILE] [-e QUERY] [OPTIONS] print the decomposition plan;
-                           with --analyze, execute it and print per-operator
+                           with --analyze, execute it and print per-node
                            and per-span simulated-time profiles
   xqd workload [QUERY-FILE] [-e QUERY] [OPTIONS]
                            drive a multi-tenant workload of the query through
@@ -87,12 +87,10 @@ OPTIONS:
                            breaker (default 4; 0 disables breakers)
   --breaker-cooldown-ms N  simulated ms an open breaker rejects calls
                            before admitting a half-open probe (default 500)
-  --no-compile             tree-walk the AST instead of compiling queries
-                           to the flat plan IR (the correctness oracle)
   --no-semijoin            disable join-aware decomposition (semi-join key
                            shipping for cross-peer value joins; default on)
   --plan-cache-size N      coordinator LRU plan-cache capacity (default 64;
-                           0 recompiles on every run)
+                           0 parses and decomposes on every run)
   --trace-out FILE         record a deterministic trace of the run on the
                            simulated clock and write it to FILE; a chaos
                            replay from the same seeds emits identical bytes
@@ -101,7 +99,8 @@ OPTIONS:
                            (default) or Chrome trace_event, loadable in
                            chrome://tracing and Perfetto
   --analyze                (xqd explain) execute the query and print the
-                           per-operator plan profile (EXPLAIN ANALYZE) plus
+                           per-node profile of the decomposed query
+                           (EXPLAIN ANALYZE) plus
                            the span-level simulated-time attribution
 
 WORKLOAD OPTIONS (xqd workload):
@@ -156,7 +155,6 @@ struct RunOptions {
     replicas: Vec<(String, Vec<String>)>, // (primary, alternates)
     hedge: Option<Duration>,
     breaker: BreakerPolicy,
-    compile: bool,
     semijoin: bool,
     plan_cache_size: usize,
     trace_out: Option<String>,
@@ -199,7 +197,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
         replicas: Vec::new(),
         hedge: None,
         breaker: BreakerPolicy::default(),
-        compile: ExecOptions::default().compile,
         semijoin: ExecOptions::default().semijoin,
         plan_cache_size: ExecOptions::default().plan_cache_size,
         trace_out: None,
@@ -318,10 +315,6 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
                 opts.breaker.cooldown =
                     Duration::from_millis(num_arg(args, i, "--breaker-cooldown-ms")?);
                 i += 2;
-            }
-            "--no-compile" => {
-                opts.compile = false;
-                i += 1;
             }
             "--no-semijoin" => {
                 opts.semijoin = false;
@@ -509,7 +502,6 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
     for strategy in &opts.strategies {
         let mut fed = Federation::new(opts.network);
         fed.set_exec_options(ExecOptions {
-            compile: opts.compile,
             semijoin: opts.semijoin,
             plan_cache_size: opts.plan_cache_size,
             trace: opts.trace_out.is_some() || opts.analyze,
@@ -585,15 +577,12 @@ fn cmd_run(args: &[String], explain_only: bool) -> ExitCode {
                         m.network,
                         m.total + m.network,
                     );
-                    if opts.compile {
-                        eprintln!(
-                            "# {}: {} plans compiled, plan cache {} hits / {} misses",
-                            strategy.name(),
-                            m.plans_compiled,
-                            m.plan_cache_hits,
-                            m.plan_cache_misses,
-                        );
-                    }
+                    eprintln!(
+                        "# {}: plan cache {} hits / {} misses",
+                        strategy.name(),
+                        m.plan_cache_hits,
+                        m.plan_cache_misses,
+                    );
                     if opts.semijoin || m.semijoins > 0 {
                         eprintln!(
                             "# {}: {} semijoins, {} join_keys_shipped, \
@@ -833,12 +822,11 @@ fn write_trace(trace: &xqd::Trace, path: &str, chrome: bool) -> Result<(), Strin
     std::fs::write(path, body).map_err(|e| format!("writing trace {path:?}: {e}"))
 }
 
-/// `explain --analyze` output: the per-operator plan profile plus the
-/// span-level attribution of the run's simulated wall time.
+/// `explain --analyze` output: the per-node profile of the decomposed
+/// query plus the span-level attribution of the run's simulated wall time.
 fn print_analysis(out: &xqd::RunOutcome) {
-    match (&out.compiled, &out.profile) {
-        (Some(prepared), Some(profile)) => println!("{}", prepared.plan.dump_analyze(profile)),
-        _ => println!("(no per-operator profile: query ran without the compiled plan IR)"),
+    if let Some(profile) = &out.profile {
+        println!("{}", profile.dump(&out.plan.rewritten));
     }
     let Some(trace) = &out.trace else { return };
     // aggregate the root's direct children — the network-bearing spans that
@@ -907,7 +895,6 @@ fn cmd_workload(args: &[String]) -> ExitCode {
 
     let mut fed = Federation::new(opts.network);
     fed.set_exec_options(ExecOptions {
-        compile: opts.compile,
         semijoin: opts.semijoin,
         plan_cache_size: opts.plan_cache_size,
         ..ExecOptions::default()

@@ -45,10 +45,9 @@ pub use xqd_core::{
     Semantics, SemijoinEdge, Strategy,
 };
 pub use xqd_xquery::{
-    compile_module, compile_query, eval_query, parse_query, EvalError, Item, Plan, QueryModule,
-    Sequence, StaticContext,
+    eval_query, parse_query, EvalError, ExprProfile, Item, ProfileHook, QueryModule, Sequence,
+    StaticContext,
 };
-pub use xqd_xquery::{OpProfile, ProfileHook};
 pub use xqd_xrpc::{
     BreakerPolicy, BreakerState, DrainReport, ExecOptions, Fault, FaultPlan, Federation,
     Histogram, Metrics, MetricsSnapshot, NetworkModel, OutcomeKind, PeerServer, PreparedQuery,

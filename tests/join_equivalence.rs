@@ -68,15 +68,28 @@ fn federation() -> Federation {
     f
 }
 
+/// One run of the join on a fresh federation. `warm` primes the plan cache
+/// with an identical run first, so the measured run replays the cached
+/// decomposition; otherwise the cache is off and the run decomposes.
 fn run_mode(
     semijoin: bool,
     strategy: Strategy,
-    compile: bool,
+    warm: bool,
     use_indexes: bool,
     fault: Option<FaultPlan>,
 ) -> (Result<Vec<String>, String>, MetricsSnapshot) {
     let mut f = federation();
-    f.set_exec_options(ExecOptions { semijoin, compile, use_indexes, fault, ..ExecOptions::default() });
+    let plan_cache_size = if warm { ExecOptions::default().plan_cache_size } else { 0 };
+    f.set_exec_options(ExecOptions {
+        semijoin,
+        plan_cache_size,
+        use_indexes,
+        fault,
+        ..ExecOptions::default()
+    });
+    if warm {
+        let _ = f.run(JOIN_QUERY, strategy);
+    }
     match f.run(JOIN_QUERY, strategy) {
         Ok(out) => (Ok(out.result), out.metrics.named()),
         Err(e) => {
@@ -109,46 +122,47 @@ fn quiet_injected_panics() {
 
 /// The core contract, all four strategies × indexes on/off:
 /// - semi-join on and off produce bit-identical results;
-/// - with semi-join off, compiled wire bytes equal the interpreter oracle
+/// - with semi-join off, warm-cache wire bytes equal an uncached run's
 ///   (flipping the flag reproduces the old wire exactly);
-/// - with semi-join on, compiled and interpreter still agree on every
-///   wire counter (the rewrite lives in decomposition, not the engine).
+/// - with semi-join on, warm-cache and uncached runs still agree on every
+///   wire counter (the rewrite lives in decomposition, and the cache
+///   replays it verbatim).
 #[test]
 fn semijoin_changes_bytes_never_results() {
     for strategy in Strategy::ALL {
         for use_indexes in [true, false] {
-            let (res_off_i, ctr_off_i) = run_mode(false, strategy, false, use_indexes, None);
-            let (res_off_c, ctr_off_c) = run_mode(false, strategy, true, use_indexes, None);
-            let (res_on_i, ctr_on_i) = run_mode(true, strategy, false, use_indexes, None);
-            let (res_on_c, ctr_on_c) = run_mode(true, strategy, true, use_indexes, None);
+            let (res_off_u, ctr_off_u) = run_mode(false, strategy, false, use_indexes, None);
+            let (res_off_w, ctr_off_w) = run_mode(false, strategy, true, use_indexes, None);
+            let (res_on_u, ctr_on_u) = run_mode(true, strategy, false, use_indexes, None);
+            let (res_on_w, ctr_on_w) = run_mode(true, strategy, true, use_indexes, None);
 
-            assert_eq!(res_on_c, res_off_c, "{strategy:?}: semi-join changed the result");
-            assert_eq!(res_on_i, res_off_i, "{strategy:?}: semi-join changed the interpreter");
-            assert_eq!(res_off_c, res_off_i, "{strategy:?}: compiled diverged from oracle");
+            assert_eq!(res_on_w, res_off_w, "{strategy:?}: semi-join changed the result");
+            assert_eq!(res_on_u, res_off_u, "{strategy:?}: semi-join changed the uncached run");
+            assert_eq!(res_off_w, res_off_u, "{strategy:?}: warm run diverged from uncached");
             assert_eq!(
-                ctr_off_c.wire(),
-                ctr_off_i.wire(),
-                "{strategy:?} indexes={use_indexes}: off-wire not byte-identical to oracle"
+                ctr_off_w.wire(),
+                ctr_off_u.wire(),
+                "{strategy:?} indexes={use_indexes}: off-wire not byte-identical when warm"
             );
             assert_eq!(
-                ctr_on_c.wire(),
-                ctr_on_i.wire(),
-                "{strategy:?} indexes={use_indexes}: on-wire not byte-identical to oracle"
+                ctr_on_w.wire(),
+                ctr_on_u.wire(),
+                "{strategy:?} indexes={use_indexes}: on-wire not byte-identical when warm"
             );
-            // the join counters agree between engines too; the keyset
+            // the join counters agree between the two too; the keyset
             // counters may fire even with the rewrite off (front-coding is
             // content-driven), but `semijoins` is the rewrite's alone
             assert_eq!(
-                ctr_on_c.joins_and_scheduler(),
-                ctr_on_i.joins_and_scheduler(),
+                ctr_on_w.joins_and_scheduler(),
+                ctr_on_u.joins_and_scheduler(),
                 "{strategy:?}: join counters diverged"
             );
             assert_eq!(
-                ctr_off_c.joins_and_scheduler(),
-                ctr_off_i.joins_and_scheduler(),
+                ctr_off_w.joins_and_scheduler(),
+                ctr_off_u.joins_and_scheduler(),
                 "{strategy:?}: join counters diverged"
             );
-            assert_eq!(ctr_off_c.semijoins(), 0, "{strategy:?}: off-run counted semi-joins");
+            assert_eq!(ctr_off_w.semijoins(), 0, "{strategy:?}: off-run counted semi-joins");
         }
     }
 }
@@ -178,7 +192,7 @@ fn semijoin_saves_bytes_and_counts_itself() {
 }
 
 /// A dozen seeded fault schedules per strategy: with the semi-join on,
-/// compiled and interpreted execution see the same wire, so every schedule
+/// warm-cache and uncached execution see the same wire, so every schedule
 /// perturbs both identically — same outcome, same counters.
 #[test]
 fn semijoin_equivalence_holds_under_chaos() {
@@ -186,12 +200,12 @@ fn semijoin_equivalence_holds_under_chaos() {
     for seed in 0..12u64 {
         for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
             let plan = Some(FaultPlan::uniform(seed, 0.3));
-            let (res_i, ctr_i) = run_mode(true, strategy, false, true, plan);
-            let (res_c, ctr_c) = run_mode(true, strategy, true, true, plan);
-            assert_eq!(res_c, res_i, "seed {seed} {strategy:?}: outcome diverged");
+            let (res_u, ctr_u) = run_mode(true, strategy, false, true, plan);
+            let (res_w, ctr_w) = run_mode(true, strategy, true, true, plan);
+            assert_eq!(res_w, res_u, "seed {seed} {strategy:?}: outcome diverged");
             assert_eq!(
-                ctr_c.wire(),
-                ctr_i.wire(),
+                ctr_w.wire(),
+                ctr_u.wire(),
                 "seed {seed} {strategy:?}: wire counters diverged"
             );
         }

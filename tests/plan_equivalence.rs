@@ -1,12 +1,12 @@
-//! Plan-equivalence suite — the compiled path's headline invariant:
+//! Plan-cache suite — the coordinator's LRU cache of decomposed queries:
 //!
-//! > Executing the flat plan IR ([`xqd::Plan`]) is **bit-identical** to the
-//! > tree-walk interpreter — same results, same wire bytes — for every
+//! > Replaying a cached decomposition is **bit-identical** to running the
+//! > whole front end again — same results, same wire bytes — for every
 //! > strategy, with indexes on or off, and under seeded fault schedules.
 //!
-//! Plus the coordinator's LRU plan cache contract: hit/miss counters are
-//! exact, eviction follows recency, and a plan is never shared across
-//! distinct static contexts or catalog generations.
+//! Plus the cache contract itself: hit/miss counters are exact, eviction
+//! follows recency, and a plan is never shared across distinct static
+//! contexts or catalog generations.
 
 use xqd::{
     ExecOptions, FaultPlan, Federation, MetricsSnapshot, NetworkModel, StaticContext, Strategy,
@@ -23,9 +23,9 @@ const DOC_B: &str = "<enrolls>\
     <exam id=\"Zed\"><grade>4</grade></exam>\
     </enrolls>";
 
-/// Fixture queries spanning the compiled surface: plain remote paths,
-/// filters with folded constants, cross-peer joins, scatter over two
-/// peers, node-set operators, reverse axes and aggregation.
+/// Fixture queries spanning the evaluator: plain remote paths, filters
+/// with constant arithmetic, cross-peer joins, scatter over two peers,
+/// node-set operators, reverse axes and aggregation.
 const QUERIES: &[&str] = &[
     "count(doc(\"xrpc://peer1/a.xml\")//person)",
     "doc(\"xrpc://peer1/a.xml\")//person[age < 10 + 20]/name",
@@ -49,15 +49,23 @@ fn federation() -> Federation {
     f
 }
 
+/// One run of `query` on a fresh federation. `warm` primes the plan cache
+/// with an identical run first, so the measured run is a cache hit; cold
+/// runs disable the cache (`plan_cache_size: 0`) and pay the whole front
+/// end.
 fn run_mode(
     query: &str,
     strategy: Strategy,
-    compile: bool,
+    warm: bool,
     use_indexes: bool,
     fault: Option<FaultPlan>,
 ) -> (Result<Vec<String>, String>, MetricsSnapshot) {
     let mut f = federation();
-    f.set_exec_options(ExecOptions { compile, use_indexes, fault, ..ExecOptions::default() });
+    let plan_cache_size = if warm { ExecOptions::default().plan_cache_size } else { 0 };
+    f.set_exec_options(ExecOptions { plan_cache_size, use_indexes, fault, ..ExecOptions::default() });
+    if warm {
+        let _ = f.run(query, strategy);
+    }
     match f.run(query, strategy) {
         Ok(out) => (Ok(out.result), out.metrics.named()),
         Err(e) => {
@@ -89,34 +97,33 @@ fn quiet_injected_panics() {
     });
 }
 
-/// Compiled execution is bit-identical to the interpreter — results AND
+/// A warm-cache run is bit-identical to an uncached one — results AND
 /// wire bytes (message_bytes, document_bytes, transfers, ... — every
-/// counter up to the plan-compilation trio, which legitimately differs) —
-/// across all four strategies with indexes on and off.
+/// counter but the plan-cache pair, which legitimately differs) — across
+/// all four strategies with indexes on and off.
 #[test]
-fn compiled_execution_matches_interpreter_bit_for_bit() {
+fn warm_cache_matches_uncached_bit_for_bit() {
     for query in QUERIES {
         for strategy in Strategy::ALL {
             for use_indexes in [true, false] {
-                let (res_i, ctr_i) = run_mode(query, strategy, false, use_indexes, None);
-                let (res_c, ctr_c) = run_mode(query, strategy, true, use_indexes, None);
+                let (res_u, ctr_u) = run_mode(query, strategy, false, use_indexes, None);
+                let (res_w, ctr_w) = run_mode(query, strategy, true, use_indexes, None);
                 assert_eq!(
-                    res_c, res_i,
-                    "{strategy:?} indexes={use_indexes}: compiled result diverged on {query}"
+                    res_w, res_u,
+                    "{strategy:?} indexes={use_indexes}: warm result diverged on {query}"
                 );
                 assert_eq!(
-                    ctr_c.wire(),
-                    ctr_i.wire(),
+                    ctr_w.wire(),
+                    ctr_u.wire(),
                     "{strategy:?} indexes={use_indexes}: wire counters diverged on {query}"
                 );
-                // the trio itself: interpreter compiles nothing...
-                assert_eq!(ctr_i.plan_cache(), [0, 0, 0], "interpreter touched plan counters");
-                // ...while a fresh compiled federation misses once and lowers once
-                assert_eq!(ctr_c.plan_cache(), [1, 0, 1], "compiled run miscounted on {query}");
+                // the pair itself: the uncached run misses, the warm one hits
+                assert_eq!(ctr_u.plan_cache(), [0, 1], "uncached run miscounted on {query}");
+                assert_eq!(ctr_w.plan_cache(), [1, 0], "warm run miscounted on {query}");
                 // the join counters must agree bit-for-bit too
                 assert_eq!(
-                    ctr_c.joins_and_scheduler(),
-                    ctr_i.joins_and_scheduler(),
+                    ctr_w.joins_and_scheduler(),
+                    ctr_u.joins_and_scheduler(),
                     "{strategy:?} indexes={use_indexes}: join counters diverged on {query}"
                 );
             }
@@ -124,37 +131,38 @@ fn compiled_execution_matches_interpreter_bit_for_bit() {
     }
 }
 
-/// The compiled plan prints remote call bodies byte-identically, so a
-/// seeded fault schedule perturbs both executions at the same offsets:
-/// compiled and interpreted runs agree on the outcome (same results or the
-/// same typed error) and on every non-plan counter, fault by fault.
+/// A cached decomposition prints its remote call bodies byte-identically,
+/// so a seeded fault schedule perturbs a warm and an uncached run at the
+/// same offsets: they agree on the outcome (same results or the same typed
+/// error) and on every wire counter, fault by fault.
 #[test]
-fn compiled_execution_matches_interpreter_under_chaos() {
+fn warm_cache_matches_uncached_under_chaos() {
     quiet_injected_panics();
     let scatter = QUERIES[4];
     let single = QUERIES[2];
     for seed in 0..12u64 {
         for strategy in [Strategy::ByValue, Strategy::ByFragment, Strategy::ByProjection] {
             for query in [single, scatter] {
-                let plan = Some(FaultPlan::uniform(seed, 0.3));
-                let (res_i, ctr_i) = run_mode(query, strategy, false, true, plan);
-                let (res_c, ctr_c) = run_mode(query, strategy, true, true, plan);
-                assert_eq!(
-                    res_c, res_i,
-                    "seed {seed} {strategy:?}: compiled outcome diverged on {query}"
-                );
-                assert_eq!(
-                    ctr_c.wire(),
-                    ctr_i.wire(),
-                    "seed {seed} {strategy:?}: counters diverged on {query}"
-                );
+                for use_indexes in [true, false] {
+                    let plan = Some(FaultPlan::uniform(seed, 0.3));
+                    let (res_u, ctr_u) = run_mode(query, strategy, false, use_indexes, plan);
+                    let (res_w, ctr_w) = run_mode(query, strategy, true, use_indexes, plan);
+                    assert_eq!(
+                        res_w, res_u,
+                        "seed {seed} {strategy:?} indexes={use_indexes}: outcome diverged on {query}"
+                    );
+                    assert_eq!(
+                        ctr_w.wire(),
+                        ctr_u.wire(),
+                        "seed {seed} {strategy:?} indexes={use_indexes}: counters diverged on {query}"
+                    );
+                }
             }
         }
     }
 }
 
-/// Exact hit/miss accounting: a fresh federation misses then hits, and the
-/// second run skips the front end entirely (`plans_compiled == 0`).
+/// Exact hit/miss accounting: a fresh federation misses then hits.
 #[test]
 fn plan_cache_counts_hits_and_misses_exactly() {
     let mut f = federation();
@@ -163,13 +171,11 @@ fn plan_cache_counts_hits_and_misses_exactly() {
     let first = f.run(q, Strategy::ByValue).unwrap();
     assert_eq!(first.metrics.plan_cache_misses, 1);
     assert_eq!(first.metrics.plan_cache_hits, 0);
-    assert_eq!(first.metrics.plans_compiled, 1);
     assert_eq!(f.plan_cache_len(), 1);
 
     let second = f.run(q, Strategy::ByValue).unwrap();
     assert_eq!(second.metrics.plan_cache_hits, 1);
     assert_eq!(second.metrics.plan_cache_misses, 0);
-    assert_eq!(second.metrics.plans_compiled, 0);
     assert_eq!(second.result, first.result);
 
     // a different strategy is a different key, not a stale hit
@@ -248,19 +254,18 @@ fn plan_cache_invalidates_on_catalog_change() {
 }
 
 /// Capacity zero disables the cache outright — every run is a miss and the
-/// cache stays empty — but execution still compiles and runs the plan.
+/// cache stays empty — but every run still decomposes and answers.
 #[test]
 fn zero_capacity_disables_caching() {
     let mut f = federation();
     f.set_exec_options(ExecOptions { plan_cache_size: 0, ..ExecOptions::default() });
     let q = QUERIES[0];
 
-    let baseline = run_mode(q, Strategy::ByValue, false, true, None).0.unwrap();
+    let baseline = run_mode(q, Strategy::ByValue, true, true, None).0.unwrap();
     for _ in 0..3 {
         let out = f.run(q, Strategy::ByValue).unwrap();
         assert_eq!(out.metrics.plan_cache_misses, 1);
         assert_eq!(out.metrics.plan_cache_hits, 0);
-        assert_eq!(out.metrics.plans_compiled, 1);
         assert_eq!(out.result, baseline);
     }
     assert_eq!(f.plan_cache_len(), 0);

@@ -3,7 +3,7 @@
 //!
 //! The chaos suite proves traces replay byte-identically; this suite pins
 //! what is *in* them — span parentage, failover-rung annotations (rung
-//! index, kind, breaker state), per-operator profiles summing to the
+//! index, kind, breaker state), per-node profiles summing to the
 //! simulated wall time, and scheduler queue-residency spans under
 //! saturation.
 
@@ -86,7 +86,7 @@ fn query_spans_form_a_tree_and_cover_the_simulated_timeline() {
     assert_well_formed(&trace);
 
     // front-end markers are zero-duration children of the root
-    for name in ["frontend.parse", "frontend.compile", "frontend.cache-miss"] {
+    for name in ["frontend.parse", "frontend.decompose", "frontend.cache-miss"] {
         let span = trace.named(name).next().unwrap_or_else(|| panic!("missing {name}"));
         assert_eq!(span.parent, ROOT_SPAN, "{name} must hang off the root");
         assert_eq!(span.dur_ns, 0, "{name} must not consume simulated time");
@@ -105,30 +105,32 @@ fn query_spans_form_a_tree_and_cover_the_simulated_timeline() {
 
     // ≥95% of the simulated wall time is attributed to named spans (here
     // it is exact by construction: the root's children partition the
-    // clock), and the per-operator profile agrees with the same total
+    // clock), and the per-node profile agrees with the same total
     assert!(trace.total_ns > 0, "the join must cost simulated time");
     assert!(trace.coverage() >= 0.95, "span coverage {:.3} below bar", trace.coverage());
     let profile = out.profile.expect("profile enabled");
-    let prepared = out.compiled.expect("compiled");
     assert_eq!(
-        profile.op_ns(prepared.plan.root),
+        profile.node_ns(0),
         trace.total_ns,
-        "the root operator's inclusive simulated time must equal the trace total"
+        "the root node's inclusive simulated time must equal the trace total"
     );
+    let dump = profile.dump(&out.plan.rewritten);
+    assert!(dump.lines().nth(1).is_some_and(|l| l.starts_with("   0: ")), "{dump}");
 }
 
 #[test]
 fn cache_hits_are_marked_and_skip_the_compile_span() {
+    // the miss path's front-end marker is `frontend.decompose`
     let mut f = federation();
     traced(&mut f);
     let cold = f.run(JOIN, Strategy::ByProjection).unwrap().trace.unwrap();
     assert_eq!(cold.named("frontend.cache-miss").count(), 1);
-    assert_eq!(cold.named("frontend.compile").count(), 1);
+    assert_eq!(cold.named("frontend.decompose").count(), 1);
     assert_eq!(cold.named("frontend.cache-hit").count(), 0);
 
     let warm = f.run(JOIN, Strategy::ByProjection).unwrap().trace.unwrap();
     assert_eq!(warm.named("frontend.cache-hit").count(), 1);
-    assert_eq!(warm.named("frontend.compile").count(), 0, "warm run must not recompile");
+    assert_eq!(warm.named("frontend.decompose").count(), 0, "warm run must not decompose");
 }
 
 #[test]
